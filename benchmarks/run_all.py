@@ -189,7 +189,7 @@ def _scenario_streaming_validate(peers: int, documents: int, backend: str = "pyt
         run_probe = machines[probe_function].run()
         source = XMLEventSource()
         source.pump(payload, run_probe)
-        run_probe.consume(source.close())
+        source.close(run_probe)
         max_depth = max(max_depth, run_probe.max_depth)
     tracemalloc.start()
     machines[function].validate_payload(largest, chunk_bytes=8192)

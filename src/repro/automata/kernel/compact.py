@@ -163,8 +163,8 @@ class CompactNFA:
         #: Bounded cache of dense union rows: ``child_mask -> tuple`` where
         #: entry ``q`` is ``Δ(closure(q), child_mask)`` -- the union of the
         #: pre-closure successor rows of every symbol in the mask.  Filled
-        #: lazily by :meth:`CompiledSchema._horizontal_accepts
-        #: <repro.engine.batch.CompiledSchema._horizontal_accepts>`; the
+        #: lazily by :func:`~repro.engine.batch.horizontal_step` (the
+        #: kernel step of both batch and streaming validation); the
         #: same child-state symbol sets recur constantly across sibling
         #: words, so one dict probe replaces the inner symbol scan.
         self.union_rows: dict = {}

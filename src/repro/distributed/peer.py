@@ -152,9 +152,15 @@ class ResourcePeer(Peer):
                     "replaced local type; the payload was not retained, re-publish it"
                 )
             return self.document.ack
+        return self.validate_document(self.document)
+
+    def validate_document(self, document: Tree) -> bool:
+        """Validate ``document`` against the local type without installing it."""
+        if self.local_type is None:
+            raise RuntimeError(f"peer {self.name!r} has no local type to validate against")
         if self.validator is not None:
-            return self.validator.validate(self.document)
-        return self.local_type.validate(self.document)
+            return self.validator.validate(document)
+        return self.local_type.validate(document)
 
     def document_size(self) -> int:
         """Bytes of the peer's document (what centralized validation must ship)."""

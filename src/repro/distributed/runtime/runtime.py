@@ -145,7 +145,8 @@ class RuntimeReport(ValidationReport):
     peers_validated: int = 0
     peers_skipped: int = 0
     wall_seconds: float = 0.0
-    #: Functions whose queued wire publication failed to parse this round.
+    #: Functions whose queued wire publication failed to parse this round
+    #: (or nests deeper than the recursive tree validator reaches).
     #: The network service maps these to typed ``invalid-xml`` error frames;
     #: the verdict accounting is unchanged (a malformed publication is an
     #: invalid publication, ack ``False``).
@@ -322,7 +323,7 @@ class StreamIngest:
         validator = self._validator
         if not malformed:
             try:
-                self._run.consume(self._source.close())
+                self._source.close(self._run)
             except InvalidXMLError:
                 malformed = True
             else:
@@ -718,31 +719,36 @@ class ValidationRuntime:
                 peer = self.document.resources[function]
                 pending = payloads.get(function)
                 if pending is not None:
-                    # Parse the queued publication here, off the coordinator.
+                    # Parse and validate the queued publication here, off the
+                    # coordinator; the peer's document is replaced only once
+                    # the publication has a verdict.
                     fingerprint, payload = pending
-                    fingerprinted = True
                     try:
-                        peer.update_document(tree_from_xml(payload))
-                    except InvalidXMLError:
-                        # Malformed XML: an invalid publication.  The peer's
-                        # previous document is kept; re-publishing the same
-                        # bytes is clean-skipped like any other content.
+                        published = tree_from_xml(payload)
+                        ack = peer.validate_document(published)
+                    except (InvalidXMLError, RecursionError):
+                        # Malformed XML, or nesting deeper than the recursive
+                        # tree validator reaches: an invalid publication.  The
+                        # peer's previous document is kept; re-publishing the
+                        # same bytes is clean-skipped like any other content.
                         outcomes.append(
                             _PeerOutcome(function, fingerprint, False, True, True, malformed=True)
                         )
                         continue
-                else:
-                    fingerprint = self._current_fp[function]
-                    fingerprinted = (
-                        fingerprint is None
-                        or peer.document is not self._fp_document.get(function)
+                    peer.update_document(published)
+                    outcomes.append(_PeerOutcome(function, fingerprint, ack, True, True))
+                    continue
+                fingerprint = self._current_fp[function]
+                fingerprinted = (
+                    fingerprint is None
+                    or peer.document is not self._fp_document.get(function)
+                )
+                if fingerprinted:
+                    fingerprint = (
+                        "tree:" + tree_fingerprint(peer.document)
+                        if peer.document is not None
+                        else _NO_DOCUMENT
                     )
-                    if fingerprinted:
-                        fingerprint = (
-                            "tree:" + tree_fingerprint(peer.document)
-                            if peer.document is not None
-                            else _NO_DOCUMENT
-                        )
                 stale = (
                     force
                     or function not in self._acks

@@ -54,6 +54,38 @@ def _union_row(compiled: CompactNFA, child_mask: int) -> list[int]:
     return row
 
 
+def horizontal_step(compiled: CompactNFA, current: int, child_mask: int, stats) -> int:
+    """One kernel step: the states ``compiled`` reaches from the state set
+    ``current`` by reading any symbol of the child symbol-set ``child_mask``.
+
+    The step reads one dense union row from the automaton's bounded
+    :attr:`~repro.automata.kernel.compact.CompactNFA.union_rows` cache
+    (child symbol-sets recur constantly across sibling words), so the
+    symbol scan of :func:`_union_row` runs only on a cache miss.  ``stats``
+    is the per-kind counter leaf (``union-row`` in ``engine_stats``),
+    updated with plain int adds.  The batch fold
+    (:meth:`CompiledSchema._horizontal_accepts`) and the streaming frames
+    (:meth:`StreamingRun.close <repro.streaming.machine.StreamingRun.close>`)
+    both step through here.
+    """
+    union_rows = compiled.union_rows
+    row = union_rows.get(child_mask)
+    if row is None:
+        if len(union_rows) >= _UNION_ROW_CAPACITY:
+            union_rows.clear()
+            stats.evictions += 1
+        row = union_rows[child_mask] = _union_row(compiled, child_mask)
+        stats.misses += 1
+    else:
+        stats.hits += 1
+    moved = 0
+    while current:
+        low = current & -current
+        moved |= row[low.bit_length() - 1]
+        current ^= low
+    return moved
+
+
 class CompiledSchema:
     """A schema compiled for repeated membership tests.
 
@@ -136,44 +168,19 @@ class CompiledSchema:
 
     @staticmethod
     def _horizontal_accepts(
-        compiled: CompactNFA, child_masks: Sequence[int], stats=None
+        compiled: CompactNFA, child_masks: Sequence[int], stats
     ) -> bool:
         """Does ``compiled`` accept some word drawn from the child bitmasks?
 
         Runs the ε-free (pre-closure convention) simulation entirely on
         integers: the current state set and every child's symbol set are
-        bitmasks.  Each step reads one dense union row -- ``row[q] =
-        Δ(closure(q), child_mask)`` -- from the automaton's bounded
-        :attr:`~repro.automata.kernel.compact.CompactNFA.union_rows` cache
-        (child symbol-sets recur constantly across sibling words), so the
-        inner symbol scan runs only on a cache miss.  ``stats`` is an
-        optional per-kind counter leaf (``union-row`` in ``engine_stats``)
-        updated with plain int adds.
+        bitmasks, and each child is one :func:`horizontal_step`.
         """
         current = compiled.initial_mask
-        if child_masks:
-            union_rows = compiled.union_rows
-            for child_mask in child_masks:
-                row = union_rows.get(child_mask)
-                if row is None:
-                    if len(union_rows) >= _UNION_ROW_CAPACITY:
-                        union_rows.clear()
-                        if stats is not None:
-                            stats.evictions += 1
-                    row = union_rows[child_mask] = _union_row(compiled, child_mask)
-                    if stats is not None:
-                        stats.misses += 1
-                elif stats is not None:
-                    stats.hits += 1
-                moved = 0
-                states_left = current
-                while states_left:
-                    state_low = states_left & -states_left
-                    moved |= row[state_low.bit_length() - 1]
-                    states_left ^= state_low
-                if not moved:
-                    return False
-                current = moved
+        for child_mask in child_masks:
+            current = horizontal_step(compiled, current, child_mask, stats)
+            if not current:
+                return False
         return bool(current & compiled.finals_closed)
 
     def _possible_mask(self, tree: Tree) -> int:

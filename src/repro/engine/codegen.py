@@ -20,9 +20,9 @@ validator *function* per schema with ``compile()``/``exec``:
 The whole-payload strategy: parse with a bare
 :class:`xml.etree.ElementTree.XMLParser` (the C parser does all
 structural work, no event-queue recording), then fold the element tree
-bottom-up -- a node's possible-state mask is a memo probe keyed by its
-children's masks, with the leaf case (a per-label constant) inlined into
-the parent so most nodes never even recurse.  This trades the
+bottom-up in one iterative pass -- a node's possible-state mask is a
+memo probe keyed by its children's masks, with leaves keyed by their bare
+label so a leaf costs one stack push.  This trades the
 interpreted streaming path's O(depth) memory bound for O(document) (the
 element tree is materialized); the ``python`` backend remains the
 bounded-memory path.
@@ -31,9 +31,8 @@ Verdicts are bit-identical to the interpreted oracle.  Malformed or
 truncated input is detected by the parser (``feed``/``close`` raise for
 every such payload); the caller then replays the buffered bytes through
 the interpreted path so the typed :class:`~repro.errors.InvalidXMLError`
-classification matches exactly.  Documents too deep for the recursive
-fold (``RecursionError``) fall back the same way -- the interpreted
-machine is iterative and handles any depth.
+classification matches exactly.  The fold is iterative, so documents
+of any depth fold without a fallback.
 
 Generated validators are memoized by the schema's content fingerprint
 (engine memo kind ``codegen-validator`` -- bounded and eviction-counted
@@ -50,28 +49,40 @@ __all__ = ["CodegenValidator", "codegen_validator_for"]
 #: Bound on each per-label fold table (distinct children-mask words).
 _TABLE_CAPACITY = 8192
 
-#: The generated recursive fold over a parsed element tree.  All constant
-#: tables are default arguments -- fast locals -- and only the cold fold
-#: calls resolve through the generated module's namespace.  The one-child
-#: case keys the per-label memo by the bare child mask (no key tuple);
-#: leaf children are folded inline via the per-label constant table.
+#: The generated fold over a parsed element tree.  It is iterative: in
+#: reversed document order every element comes after all of its
+#: descendants, so one pass over a stack of child results folds the tree
+#: bottom-up at any depth.  All tables are default arguments -- fast locals
+#: -- and only the cold fold calls resolve through the generated module's
+#: namespace.  A leaf pushes its bare label (the fold tables key leaf
+#: children by label; a miss resolves it to the per-label leaf constant),
+#: and the one-child case keys the per-label memo by the bare child (no key
+#: tuple).
 _MASK_SOURCE = """\
-def _mask_of(e, _len=len, leaf_get=leaf_get, tables=tables, tables1=tables1):
-    k = _len(e)
-    if k == 0:
-        return leaf_get(e.tag, 0)
-    if k == 1:
-        c = e[0]
-        child = leaf_get(c.tag, 0) if not _len(c) else _mask_of(c)
-        try:
-            return tables1[e.tag][child]
-        except KeyError:
-            return fold1(e.tag, child)
-    key = tuple([leaf_get(c.tag, 0) if not _len(c) else _mask_of(c) for c in e])
-    try:
-        return tables[e.tag][key]
-    except KeyError:
-        return fold(e.tag, key)
+def _mask_of(root, _len=len, leaf_get=leaf_get, tables=tables, tables1=tables1):
+    nodes = list(root.iter())
+    nodes.reverse()
+    stack = []
+    push = stack.append
+    for e in nodes:
+        k = _len(e)
+        if not k:
+            push(e.tag)
+        elif k == 1:
+            child = stack[-1]
+            try:
+                stack[-1] = tables1[e.tag][child]
+            except KeyError:
+                stack[-1] = fold1(e.tag, child)
+        else:
+            key = tuple(stack[:-k - 1:-1])
+            del stack[-k:]
+            try:
+                push(tables[e.tag][key])
+            except KeyError:
+                push(fold(e.tag, key))
+    top = stack[0]
+    return top if top.__class__ is int else leaf_get(top, 0)
 """
 
 #: Fold core for single-rule schemas (every DTD): no rule loop.  A zero
@@ -183,9 +194,12 @@ class CodegenValidator:
         stats = self._stats
         tables, tables1 = self.tables, self.tables1
         fold_core = self._fold_core
+        leaf_get = self.leaf.get
 
         def fold(label, key):
-            mask = fold_core(label, key)
+            # Leaf children arrive as their bare label (see _MASK_SOURCE).
+            masks = tuple([leaf_get(c, 0) if c.__class__ is str else c for c in key])
+            mask = fold_core(label, masks)
             table = tables.get(label)
             if table is not None:
                 if len(table) >= _TABLE_CAPACITY:
@@ -196,7 +210,7 @@ class CodegenValidator:
             return mask
 
         def fold1(label, child):
-            mask = fold_core(label, (child,))
+            mask = fold_core(label, (leaf_get(child, 0) if child.__class__ is str else child,))
             table = tables1.get(label)
             if table is not None:
                 if len(table) >= _TABLE_CAPACITY:
@@ -250,10 +264,8 @@ class CodegenValidator:
     def try_validate_payload(self, payload):
         """Verdict for one whole payload, or ``None`` on any parse anomaly.
 
-        ``None`` means: replay through the interpreted path, either for
-        the exact malformed/truncated classification or because the
-        document is too deep for the recursive fold (the payload is
-        untouched).
+        ``None`` means: replay through the interpreted path for the exact
+        malformed/truncated classification (the payload is untouched).
         """
         parser = ET.XMLParser()
         try:
@@ -261,7 +273,7 @@ class CodegenValidator:
             root = parser.close()
         except ET.ParseError:
             return None
-        return self._verdict_of(root)
+        return bool(self._mask_of(root) & self.finals_mask)
 
     def try_validate_chunks(self, chunks, fed: list):
         """Verdict for chunked input, or ``None`` on any parse anomaly.
@@ -278,15 +290,4 @@ class CodegenValidator:
             root = parser.close()
         except ET.ParseError:
             return None
-        return self._verdict_of(root)
-
-    def _verdict_of(self, root):
-        if root is None:  # pragma: no cover - close() raises instead
-            return None
-        try:
-            mask = self._mask_of(root)
-        except RecursionError:
-            # Deeper than the interpreter's stack allows: the iterative
-            # O(depth) interpreted machine handles it.
-            return None
-        return bool(mask & self.finals_mask)
+        return bool(self._mask_of(root) & self.finals_mask)

@@ -1071,10 +1071,11 @@ class ValidationServer:
         """Settle one oversized ``publish`` through the streaming ingest.
 
         Bypasses the micro-batch queue entirely: the payload is hashed and
-        DFA-stepped in O(depth) memory on the executor, and settlement
-        takes only the runtime's internal state lock -- large documents
-        neither occupy the admission queue nor stall a batch behind a
-        multi-second parse.
+        DFA-stepped on the executor, fed as one chunk yet in O(depth)
+        memory (expat hands each element to the streaming run as it
+        parses; nothing per node is built), and settlement takes only the
+        runtime's internal state lock -- large documents neither occupy
+        the admission queue nor stall a batch behind a multi-second parse.
         """
         shard = self._acquire_stream_slot(entry, function)
         try:
@@ -1174,9 +1175,8 @@ class ValidationServer:
         acks = entry.runtime.peer_acks()
         for item, clean in admitted:
             if item.function in parse_failures:
-                settled.append(
-                    (item, OpError("invalid-xml", f"payload for {item.function!r} is not XML"))
-                )
+                message = f"payload for {item.function!r} is not XML or nests too deeply"
+                settled.append((item, OpError("invalid-xml", message)))
                 continue
             settled.append(
                 (

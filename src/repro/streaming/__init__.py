@@ -5,14 +5,20 @@ Every other validation path of the library materialises a
 :class:`~repro.engine.batch.CompiledSchema` ever fires.  This package is
 the execution mode that never does:
 
-* :mod:`repro.streaming.events` turns XML *bytes* -- fed chunk by chunk,
-  no contiguous buffer required -- into a stream of ``("open", label)`` /
-  ``("close", label)`` events in O(depth) working memory;
-* :mod:`repro.streaming.machine` consumes those events with one frame of
-  horizontal-DFA state sets per *open* element (a stack, not a tree) and
-  produces exactly the verdict :class:`~repro.engine.batch.BatchValidator`
-  would, for DTDs, SDTDs and EDTDs alike, rejecting early the moment no
-  state assignment can exist any more.
+* :mod:`repro.streaming.events` runs a bare expat parser over XML
+  *bytes* -- fed chunk by chunk, no contiguous buffer required -- whose
+  element start/end handlers are bound straight to a sink's ``open`` /
+  ``close`` methods: no element objects, no event queue, O(depth)
+  working memory even when a whole document arrives as one chunk;
+* :mod:`repro.streaming.machine` is that sink: one frame of
+  horizontal-DFA state sets per *open* element (a stack, not a tree),
+  stepped through the batch kernel's union rows, producing exactly the
+  verdict :class:`~repro.engine.batch.BatchValidator` would, for DTDs,
+  SDTDs and EDTDs alike, rejecting early the moment no state assignment
+  can exist any more.
+
+The tree path (:func:`repro.trees.xml_io.tree_from_xml`) parses on the
+same event source, so both ingest paths classify malformed input alike.
 
 The distributed runtime (:meth:`ValidationRuntime.publish_stream`), the
 network service (the ``publish_stream_*`` operations) and the public

@@ -1,36 +1,44 @@
-"""Incremental XML structure events over :class:`xml.etree.ElementTree.XMLPullParser`.
+"""Incremental XML structure events on bare :mod:`pyexpat`.
 
 The paper abstracts documents to pure element structure (no attributes, no
-character data), so the only events a validator needs are ``("open",
-label)`` when an element starts and ``("close", label)`` when it ends.
+character data), so the only events a validator needs are "an element
+with this label starts" and "the innermost element ends".
 :class:`XMLEventSource` produces exactly those from byte (or text) chunks
 of any size -- a whole payload, network-frame-sized slices, or single
-bytes -- and guarantees **O(depth) working memory**:
+bytes -- in **O(depth) working memory**.
 
-The pull parser builds an element tree as it goes, which would make the
-source O(document) again.  The trick that prevents it: in document order,
-an element that just closed is always the *last* child of its parent, so
-the source deletes it from the parent (``del parent[-1]``, O(1)) the
-moment its close event is emitted.  Only the open path from the root to
-the current element is ever alive -- no per-node allocation survives a
-node's close.
+The source is a bare expat parser whose ``StartElementHandler`` /
+``EndElementHandler`` are bound straight to a sink's ``open(label,
+attributes)`` / ``close(label)`` methods (:meth:`XMLEventSource.pump`).
+Expat calls the sink from C: no ``Element`` is built, no event is queued
+and nothing is re-dispatched per event in Python.  Depth, event and
+completeness bookkeeping is the sink's business
+(:class:`~repro.streaming.machine.StreamingRun` keeps those counters).
+
+Namespaced labels arrive in expat's ``uri}local`` spelling (the parser
+splits names on ``}``).  Schemas and trees use ElementTree's
+``{uri}local``; :func:`tree_label` and :func:`stream_label` convert
+between the two, so the tree and stream paths give the same verdict for
+every label.
 
 Malformed or truncated input raises the library's typed
-:class:`~repro.errors.InvalidXMLError` (never the stdlib's ``ParseError``),
-at the first offending chunk for syntax errors and at :meth:`close` for
-documents that simply end too early.  One source parses one document; a
-fresh document gets a fresh source, so parser state can never leak across
+:class:`~repro.errors.InvalidXMLError`, at the first offending chunk for
+syntax errors and at :meth:`close` for documents that end too early or
+hold no element at all.  A reference to an undefined entity is an error
+even where expat would skip it (a document with an external DTD subset),
+exactly like ElementTree.  One source parses one document; a fresh
+document gets a fresh source, so parser state can never leak across
 documents.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
+from xml.parsers import expat
 
 from repro.errors import InvalidXMLError
 
-__all__ = ["OPEN", "CLOSE", "XMLEventSource", "iter_chunks"]
+__all__ = ["OPEN", "CLOSE", "XMLEventSource", "iter_chunks", "stream_label", "tree_label"]
 
 #: Event kinds (plain strings so events are cheap, comparable tuples).
 OPEN = "open"
@@ -48,153 +56,94 @@ def iter_chunks(payload: Chunk, chunk_bytes: int = 65536) -> Iterator[Chunk]:
         yield payload[start : start + chunk_bytes]
 
 
+def tree_label(label: str) -> str:
+    """ElementTree's spelling of a label the source reports (``{uri}local``)."""
+    return "{" + label if "}" in label else label
+
+
+def stream_label(label: str) -> Optional[str]:
+    """The spelling the source reports for elements with schema label ``label``.
+
+    ``{uri}local`` becomes ``uri}local``; ``None`` for any other label with
+    a ``}``, which no XML element name can carry (keeping it would let it
+    match a namespaced element's ``uri}local``).
+    """
+    if label.startswith("{"):
+        return label[1:]
+    return None if "}" in label else label
+
+
+def _skipped_entity(name: str, is_parameter_entity: bool) -> None:
+    # Expat skips a general entity it cannot resolve when the document has
+    # an external DTD subset; ElementTree rejects it, and so do we.
+    if not is_parameter_entity:
+        raise InvalidXMLError(f"malformed XML: undefined entity &{name};")
+
+
+class _EventList(list):
+    """A sink that records ``(kind, label)`` events (what :meth:`feed` returns)."""
+
+    __slots__ = ()
+
+    def open(self, label: str, attributes=None) -> None:
+        self.append((OPEN, label))
+
+    def close(self, label=None) -> None:
+        self.append((CLOSE, label))
+
+
 class XMLEventSource:
-    """One document's worth of ``(open, label)`` / ``(close, label)`` events.
+    """One document's worth of element start/end events.
 
     Usage::
 
         source = XMLEventSource()
         for chunk in chunks:
-            for kind, label in source.feed(chunk):
-                ...
-        for kind, label in source.close():
-            ...
+            source.pump(chunk, sink)   # sink.open(label, attributes) / sink.close(label)
+        source.close(sink)
 
-    :meth:`feed` is a generator: events are produced lazily as the caller
-    iterates, so even a single huge chunk never materialises an O(nodes)
-    event list.  Attributes, namespaces, text and comments are ignored per
+    :meth:`feed` is the same parse collecting ``(OPEN, label)`` /
+    ``(CLOSE, label)`` tuples into a list instead of calling a sink.
+    Attributes, namespace declarations, text and comments are ignored per
     the paper's abstraction of XML.
     """
 
-    __slots__ = ("_parser", "_stack", "_events", "_max_depth", "_closed", "_done")
+    __slots__ = ("_parser", "_closed")
 
     def __init__(self) -> None:
-        self._parser = ET.XMLPullParser(events=("start", "end"))
-        #: The open elements, root first -- the only O(depth) state.
-        self._stack: list[ET.Element] = []
-        self._events = 0
-        self._max_depth = 0
+        self._parser = expat.ParserCreate(None, "}")
+        self._parser.SkippedEntityHandler = _skipped_entity
         self._closed = False
-        self._done = False  # the root element has closed
-
-    # ------------------------------------------------------------------ #
-    # accounting
-    # ------------------------------------------------------------------ #
-
-    @property
-    def depth(self) -> int:
-        """Number of currently open elements."""
-        return len(self._stack)
-
-    @property
-    def max_depth(self) -> int:
-        """Deepest nesting seen so far (the O(depth) bound's witness)."""
-        return self._max_depth
-
-    @property
-    def events(self) -> int:
-        """Total events emitted so far (2 x elements seen closed+open)."""
-        return self._events
-
-    @property
-    def complete(self) -> bool:
-        """Has the root element closed (a whole document was consumed)?"""
-        return self._done
-
-    # ------------------------------------------------------------------ #
-    # feeding
-    # ------------------------------------------------------------------ #
-
-    def feed(self, chunk: Chunk) -> Iterator[Event]:
-        """Feed one chunk; lazily yield the events it completes.
-
-        The returned generator must be exhausted before the next
-        :meth:`feed` call (events are consumed from the parser in order).
-        """
-        if self._closed:
-            raise InvalidXMLError("the event source is closed; one source parses one document")
-        try:
-            self._parser.feed(chunk)
-        except ET.ParseError as error:
-            raise InvalidXMLError(f"malformed XML: {error}") from None
-        return self._drain()
 
     def pump(self, chunk: Chunk, sink) -> None:
-        """Feed one chunk, dispatching events straight into a sink.
-
-        The fused fast path of :meth:`feed`: instead of yielding event
-        tuples it calls ``sink.open(label)`` / ``sink.close()`` inline --
-        what :meth:`StreamingValidator.validate_chunks
-        <repro.streaming.machine.StreamingValidator.validate_chunks>` and
-        the runtime's stream ingest drive, one attribute lookup and zero
-        allocations per event.
-        """
+        """Feed one chunk, with expat calling ``sink.open`` / ``sink.close`` directly."""
         if self._closed:
             raise InvalidXMLError("the event source is closed; one source parses one document")
-        try:
-            self._parser.feed(chunk)
-        except ET.ParseError as error:
-            raise InvalidXMLError(f"malformed XML: {error}") from None
-        stack = self._stack
-        stack_append, stack_pop = stack.append, stack.pop
-        sink_open, sink_close = sink.open, sink.close
-        try:
-            for action, element in self._parser.read_events():
-                self._events += 1
-                if action == "start":
-                    stack_append(element)
-                    if len(stack) > self._max_depth:
-                        self._max_depth = len(stack)
-                    sink_open(element.tag)
-                else:
-                    stack_pop()
-                    if stack:
-                        del stack[-1][-1]
-                    else:
-                        self._done = True
-                        element.clear()
-                    sink_close()
-        except ET.ParseError as error:
-            raise InvalidXMLError(f"malformed XML: {error}") from None
+        self._parse(chunk, sink, False)
 
-    def close(self) -> list[Event]:
-        """Signal end of input; return any trailing events.
+    def feed(self, chunk: Chunk) -> list[Event]:
+        """Feed one chunk; return the events it completes."""
+        events = _EventList()
+        self.pump(chunk, events)
+        return events
+
+    def close(self, sink) -> None:
+        """Signal end of input; the final parse calls into ``sink`` like :meth:`pump`.
 
         Raises :class:`InvalidXMLError` when the input was truncated (open
-        elements remain) or empty (no root element at all).
+        elements remain) or empty (no root element at all).  Closing twice
+        is a no-op.
         """
         if self._closed:
-            return []
+            return
         self._closed = True
-        try:
-            self._parser.close()
-        except ET.ParseError as error:
-            raise InvalidXMLError(f"malformed XML: {error}") from None
-        trailing = list(self._drain())
-        if not self._done:
-            raise InvalidXMLError("truncated XML: the document ended before the root closed")
-        return trailing
+        self._parse(b"", sink, True)
 
-    def _drain(self) -> Iterator[Event]:
-        stack = self._stack
+    def _parse(self, chunk: Chunk, sink, final: bool) -> None:
+        parser = self._parser
+        parser.StartElementHandler = sink.open
+        parser.EndElementHandler = sink.close
         try:
-            for action, element in self._parser.read_events():
-                self._events += 1
-                if action == "start":
-                    stack.append(element)
-                    if len(stack) > self._max_depth:
-                        self._max_depth = len(stack)
-                    yield (OPEN, element.tag)
-                else:
-                    stack.pop()
-                    if stack:
-                        # The closed element is the last child of its
-                        # parent: drop it in O(1) so nothing per-node
-                        # outlives its close event.
-                        del stack[-1][-1]
-                    else:
-                        self._done = True
-                        element.clear()
-                    yield (CLOSE, element.tag)
-        except ET.ParseError as error:
+            parser.Parse(chunk, final)
+        except expat.ExpatError as error:
             raise InvalidXMLError(f"malformed XML: {error}") from None

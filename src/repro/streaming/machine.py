@@ -10,11 +10,14 @@ document order, and a child's mask is final the moment the child closes.
 :class:`StreamingRun` exploits this.  Each open element owns one **frame**
 holding, for every rule ``(state, label)`` of the schema's tree automaton
 that could assign ``state`` to this element, the current state set of that
-rule's horizontal automaton (a bitmask, stepped with the same per-symbol
-successor arrays as the batch loop).  On ``open`` a frame is pushed; on
+rule's horizontal automaton (a bitmask).  On ``open`` a frame is pushed; on
 ``close`` the frame is folded into the element's possible-state mask and
-fed -- as one symbol-set -- into the parent frame.  Working memory is
-O(depth x rules-per-label); no per-node allocation survives a close.
+fed -- as one symbol-set -- into the parent frame through
+:func:`~repro.engine.batch.horizontal_step`, the batch fold's own kernel
+step and union-row cache.  Working memory is O(depth x rules-per-label);
+no per-node allocation survives a close.  The run's ``open`` / ``close``
+take expat's handler signatures, so the event source binds them directly
+and expat calls them from C.
 
 Verdicts are **identical** to :meth:`BatchValidator.validate` for every
 schema kind: a frame *is* the pending suffix of
@@ -37,9 +40,9 @@ from itertools import chain
 from typing import Iterable, Optional, Union
 
 from repro.engine.backends import resolve_backend
-from repro.engine.batch import CompiledSchema
+from repro.engine.batch import CompiledSchema, horizontal_step
 from repro.errors import DesignError
-from repro.streaming.events import CLOSE, OPEN, XMLEventSource, iter_chunks
+from repro.streaming.events import XMLEventSource, iter_chunks, stream_label
 
 __all__ = ["StreamingRun", "StreamingValidator", "streaming_validator_for"]
 
@@ -81,8 +84,8 @@ class StreamingValidator:
     Wraps the same :class:`CompiledSchema` the batch path uses (so the
     horizontal automata are shared, content-memoized kernels) and
     pre-flattens its per-label rules into the tuple layout the hot event
-    loop wants: ``(state_bit, delta, finals_closed)`` plus the initial
-    state-set template per label.
+    loop wants: ``(state_bit, compiled_nfa, finals_closed)`` plus the
+    initial state-set template per label.
     """
 
     __slots__ = ("compiled", "backend", "_codegen", "_label_rules", "_finals_mask")
@@ -102,18 +105,19 @@ class StreamingValidator:
             from repro.engine.codegen import codegen_validator_for
 
             self._codegen = codegen_validator_for(self.compiled, engine)
-        #: label -> frame template; an entry is ``(state_bit, delta,
-        #: finals_closed)`` with ``delta`` the dense per-symbol successor
-        #: arrays over the schema's shared state order.  A frame is the
-        #: template's shallow copy ``[entries, current_0, ..., current_k]``
-        #: -- one flat list per open element, currents start at each rule's
-        #: initial state set.
+        #: label (the event source's spelling, :func:`stream_label`) -> frame
+        #: template; an entry is ``(state_bit, compiled_nfa,
+        #: finals_closed)``, the batch kernel's rule over the schema's
+        #: shared state order.  A frame is the template's shallow copy
+        #: ``[entries, current_0, ..., current_k]`` -- one flat list per
+        #: open element, currents start at each rule's initial state set.
         self._label_rules: dict[str, list] = {}
         for label, rules in self.compiled._rules_by_label.items():
-            entries = tuple(
-                (state_bit, nfa.delta, nfa.finals_closed) for state_bit, nfa in rules
-            )
-            self._label_rules[label] = [entries] + [1 << nfa.initial for _sb, nfa in rules]
+            label = stream_label(label)
+            if label is None:
+                continue
+            entries = tuple((state_bit, nfa, nfa.finals_closed) for state_bit, nfa in rules)
+            self._label_rules[label] = [entries] + [nfa.initial_mask for _sb, nfa in rules]
         self._finals_mask = self.compiled._finals_mask
 
     @property
@@ -159,7 +163,7 @@ class StreamingValidator:
         source = XMLEventSource()
         for chunk in chunks:
             source.pump(chunk, run)
-        run.consume(source.close())
+        source.close(run)
         return run.verdict()
 
     def validate_payload(self, payload: Union[bytes, str], chunk_bytes: int = 65536) -> bool:
@@ -173,10 +177,17 @@ class StreamingValidator:
 
 
 class StreamingRun:
-    """The mutable state of validating one document event-by-event."""
+    """The mutable state of validating one document event-by-event.
+
+    :meth:`open` / :meth:`close` take expat's handler signatures, so an
+    :class:`~repro.streaming.events.XMLEventSource` binds them as its
+    element handlers and expat calls them directly.
+    """
 
     __slots__ = (
         "_machine",
+        "_label_rules",
+        "_union_stats",
         "_stack",
         "_depth",
         "_max_depth",
@@ -187,6 +198,8 @@ class StreamingRun:
 
     def __init__(self, machine: StreamingValidator) -> None:
         self._machine = machine
+        self._label_rules = machine._label_rules
+        self._union_stats = machine.compiled._union_stats
         #: One frame per open element: ``[entries, current_0, ...]``.
         #: ``entries`` is the machine's shared per-label tuple (never
         #: copied); only the flat frame list is allocated per open element
@@ -236,15 +249,15 @@ class StreamingRun:
     # events
     # ------------------------------------------------------------------ #
 
-    def open(self, label: str) -> None:
-        """An element with ``label`` starts."""
+    def open(self, label: str, attributes=None) -> None:
+        """An element with ``label`` starts (``attributes`` are ignored)."""
         self._events += 1
-        self._depth += 1
-        if self._depth > self._max_depth:
-            self._max_depth = self._depth
+        depth = self._depth = self._depth + 1
+        if depth > self._max_depth:
+            self._max_depth = depth
         if self._rejected_at is not None:
             return
-        template = self._machine._label_rules.get(label)
+        template = self._label_rules.get(label)
         if template is None:
             # No rule can ever assign a state to this element: its mask
             # will be 0, so no completion of the document is valid.
@@ -252,8 +265,8 @@ class StreamingRun:
             return
         self._stack.append(template.copy())
 
-    def close(self) -> None:
-        """The innermost open element ends."""
+    def close(self, label: Optional[str] = None) -> None:
+        """The innermost open element ends (``label`` is not checked: the parser did)."""
         self._events += 1
         self._depth -= 1
         if self._depth < 0:
@@ -265,12 +278,12 @@ class StreamingRun:
         entries = frame[0]
         if len(entries) == 1:
             # The single-rule fast path (every DTD label; most SDTD ones).
-            state_bit, _delta, finals_closed = entries[0]
+            state_bit, _nfa, finals_closed = entries[0]
             mask = state_bit if frame[1] & finals_closed else 0
         else:
             mask = 0
-            for index, (state_bit, _delta, finals_closed) in enumerate(entries):
-                if frame[index + 1] & finals_closed:
+            for index, (state_bit, _nfa, finals_closed) in enumerate(entries, 1):
+                if frame[index] & finals_closed:
                     mask |= state_bit
         if not mask:
             self._rejected_at = self._events
@@ -280,41 +293,23 @@ class StreamingRun:
             return
         # Feed the closed child's mask -- its set of assignable states is
         # the symbol-set its parent's horizontal automata read -- into the
-        # parent frame.  Same integer kernel step as the batch loop.
+        # parent frame: the batch fold's kernel step, union-row cache and all.
         parent = stack[-1]
-        alive = 0
-        for index, (_state_bit, delta, _finals_closed) in enumerate(parent[0]):
-            current = parent[index + 1]
-            if not current:
-                continue
-            moved = 0
-            symbols_left = mask
-            while symbols_left:
-                low = symbols_left & -symbols_left
-                row = delta[low.bit_length() - 1]
-                states_left = current
-                while states_left:
-                    state_low = states_left & -states_left
-                    moved |= row[state_low.bit_length() - 1]
-                    states_left ^= state_low
-                symbols_left ^= low
-            parent[index + 1] = moved
-            alive |= moved
+        entries = parent[0]
+        if len(entries) == 1:
+            alive = parent[1] = horizontal_step(entries[0][1], parent[1], mask, self._union_stats)
+        else:
+            stats = self._union_stats
+            alive = 0
+            for index, (_state_bit, nfa, _finals_closed) in enumerate(entries, 1):
+                current = parent[index]
+                if current:
+                    current = parent[index] = horizontal_step(nfa, current, mask, stats)
+                    alive |= current
         if not alive:
             # Every rule of the parent's label is dead: the parent's mask
             # will be 0 no matter what siblings follow.
             self._rejected_at = self._events
-
-    def consume(self, events: Iterable[tuple[str, str]]) -> None:
-        """Dispatch a batch of ``(kind, label)`` events (the hot loop)."""
-        open_, close_ = self.open, self.close
-        for kind, label in events:
-            if kind == OPEN:
-                open_(label)
-            elif kind == CLOSE:
-                close_()
-            else:  # pragma: no cover - event sources only emit open/close
-                raise DesignError(f"unknown streaming event kind {kind!r}")
 
     # ------------------------------------------------------------------ #
     # verdict

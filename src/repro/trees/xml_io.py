@@ -3,8 +3,11 @@
 The paper abstracts away attributes and character data (Section 2: "a
 widespread abstraction of XML documents ... focusing on document
 structure"), so serialisation emits pure element structure and parsing
-ignores text content and attributes.  The standard library parser is used;
-no third-party XML dependency is required.
+ignores text content and attributes.  Parsing runs on the same bare expat
+event source as streaming validation
+(:class:`~repro.streaming.events.XMLEventSource`), so the tree and stream
+ingest paths classify malformed input identically; no third-party XML
+dependency is required.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from xml.dom import minidom
 
-from repro.errors import InvalidXMLError
 from repro.trees.document import Tree
 
 
@@ -22,11 +24,6 @@ def tree_to_element(tree: Tree) -> ET.Element:
     for child in tree.children:
         element.append(tree_to_element(child))
     return element
-
-
-def element_to_tree(element: ET.Element) -> Tree:
-    """Convert an element (ignoring text and attributes) to a tree."""
-    return Tree(element.tag, tuple(element_to_tree(child) for child in element))
 
 
 def tree_to_xml(tree: Tree, pretty: bool = False) -> str:
@@ -45,15 +42,42 @@ def tree_to_xml(tree: Tree, pretty: bool = False) -> str:
     return "\n".join(lines)
 
 
+class _TreeBuilder:
+    """An event sink that assembles a :class:`Tree` bottom-up, iteratively.
+
+    One children list per open element: a closing element becomes a
+    :class:`Tree` appended to its parent's list, so any depth parses
+    without recursion.
+    """
+
+    __slots__ = ("stack", "tree_label")
+
+    def __init__(self, tree_label) -> None:
+        #: ``stack[0]`` collects the root; ``stack[-1]`` the innermost children.
+        self.stack: list[list[Tree]] = [[]]
+        self.tree_label = tree_label
+
+    def open(self, label: str, attributes=None) -> None:
+        self.stack.append([])
+
+    def close(self, label: str) -> None:
+        children = self.stack.pop()
+        self.stack[-1].append(Tree(self.tree_label(label), children))
+
+
 def tree_from_xml(text: str | bytes) -> Tree:
     """Parse XML text into a tree (attributes and character data are dropped).
 
     Malformed input raises the library's typed
-    :class:`~repro.errors.InvalidXMLError` instead of the stdlib's
-    ``xml.etree.ElementTree.ParseError``, so callers (the runtime, the
-    service) never have to special-case stdlib exceptions.
+    :class:`~repro.errors.InvalidXMLError` (the event source's
+    classification), so callers (the runtime, the service) never have to
+    special-case stdlib exceptions.
     """
-    try:
-        return element_to_tree(ET.fromstring(text))
-    except ET.ParseError as error:
-        raise InvalidXMLError(f"malformed XML: {error}") from None
+    # Imported here: repro.streaming needs the engine, which needs repro.trees.
+    from repro.streaming.events import XMLEventSource, tree_label
+
+    builder = _TreeBuilder(tree_label)
+    source = XMLEventSource()
+    source.pump(text, builder)
+    source.close(builder)
+    return builder.stack[0][0]

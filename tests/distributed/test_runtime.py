@@ -10,6 +10,7 @@ outcome.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -358,6 +359,24 @@ class TestWirePublish:
             # Re-publishing the same garbage is clean-skipped.
             assert runtime.publish("f1", "<root_f1><record></root_f1>")
             assert runtime.validate_locally().peers_validated == 0
+
+    def test_too_deep_payload_keeps_the_previous_document(self):
+        depth = 5 * sys.getrecursionlimit()
+        deep = "<root_f1>" + "<record>" * depth + "</record>" * depth + "</root_f1>"
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, max_workers=4) as runtime:
+            assert runtime.validate_locally(workload.typing).valid
+            kept = document.resources["f1"].document
+            runtime.publish("f1", deep)
+            report = runtime.validate_locally()
+            assert not report.valid and report.parse_failures == ("f1",)
+            assert document.resources["f1"].document is kept
+            # Later rounds are not poisoned: good content is validated again.
+            runtime.publish("f1", tree_to_xml(workload.initial_documents["f1"]) + " ")
+            report = runtime.validate_locally()
+            assert report.valid and report.parse_failures == ()
+            assert report.peers_validated == 1
 
     def test_publish_unknown_function_rejected(self):
         workload = build_workload()

@@ -126,8 +126,8 @@ class TestRejectedAtIdentity:
             runs = (oracle.run(), machine.run())
             for run in runs:
                 source = XMLEventSource()
-                run.consume(source.feed(payload))
-                run.consume(source.close())
+                source.pump(payload, run)
+                source.close(run)
             baseline, candidate = runs
             assert candidate.rejected_at == baseline.rejected_at
             assert candidate.root_mask == baseline.root_mask

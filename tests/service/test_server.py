@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import sys
 import threading
 
 import pytest
@@ -167,6 +168,15 @@ class TestPublish:
         # The connection and the server are fine; the design still answers.
         assert client.ping()["pong"] is True
         assert client.revalidate("d")["valid"] is False  # f1's ack is now False
+
+    def test_too_deep_payload_is_typed_and_later_rounds_survive(self, client, workload):
+        depth = 5 * sys.getrecursionlimit()
+        deep = "<root_f1>" + "<record>" * depth + "</record>" * depth + "</root_f1>"
+        with pytest.raises(ServiceError) as excinfo:
+            client.publish("d", "f1", deep)
+        assert excinfo.value.code == "invalid-xml"
+        result = client.publish("d", "f1", payload_of(workload, "f1") + " ")
+        assert result["peer_valid"] is True and result["valid"] is True
 
     def test_republished_known_garbage_is_clean_but_invalid(self, client):
         with pytest.raises(ServiceError):

@@ -145,12 +145,49 @@ class TestMalformedAndTruncated:
         b"<s><record><key/></record>",
         b"<s></s><s></s>",
         b"<s attr=></s>",
+        # With an external DTD subset expat would skip the undefined
+        # entity; both paths must still reject it.
+        b'<!DOCTYPE s SYSTEM "x.dtd"><s>&foo;</s>',
     ]
 
     @pytest.mark.parametrize("payload", PAYLOADS)
     def test_classification_matches_tree_path(self, payload):
         schema = SCHEMAS["DTD"]
         assert stream_verdict(schema, payload) == tree_verdict(schema, payload) == "invalid-xml"
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            # A namespaced element matches none of these plain labels...
+            (b'<s xmlns="urn:x"><record><key/></record></s>', False),
+            (b'<s><record xmlns="urn:x"><key/></record></s>', False),
+            # ...while a namespace declaration alone changes nothing.
+            (b'<s xmlns:p="urn:x"><record><key/></record></s>', True),
+        ],
+    )
+    def test_namespaced_documents_agree(self, payload, expected):
+        schema = SCHEMAS["DTD"]
+        assert tree_verdict(schema, payload) is expected
+        assert stream_verdict(schema, payload) is expected
+        assert stream_verdict(schema, payload, chunk_bytes=3) is expected
+
+    @pytest.mark.parametrize(
+        "start, payload, expected",
+        [
+            ("{urn:x}s", b'<s xmlns="urn:x"><a xmlns=""/></s>', True),
+            ("{urn:x}s", b'<p:s xmlns:p="urn:x"><a/></p:s>', True),
+            ("{urn:x}s", b"<s><a/></s>", False),
+            # A brace label in any other spelling names no XML element.
+            ("urn:x}s", b'<s xmlns="urn:x"><a xmlns=""/></s>', False),
+        ],
+    )
+    def test_namespaced_schema_labels_agree(self, start, payload, expected):
+        schema = dtd(start, {start: "a*"})
+        assert tree_verdict(schema, payload) is expected
+        for backend in ("python", "codegen"):
+            machine = streaming_validator_for(schema, backend=backend)
+            assert machine.validate_payload(payload) is expected
+            assert machine.validate_payload(payload, 3) is expected
 
     @pytest.mark.parametrize("cut", [1, 5, 11, 17, 23])
     def test_truncated_chunks_are_malformed_at_any_cut(self, cut):
@@ -200,7 +237,7 @@ class TestEarlyRejectPositions:
         from repro.streaming.events import XMLEventSource
 
         source = XMLEventSource()
-        run.consume(source.feed(payload))
-        run.consume(source.close())
+        source.pump(payload, run)
+        source.close(run)
         assert run.rejected_at == 2  # open s, then the ruleless zzz opens
         assert run.events > 400  # the rest was consumed, cheaply

@@ -72,8 +72,8 @@ class TestVerdicts:
             tree = parse_term(term)
             run = machine.run()
             source = XMLEventSource()
-            run.consume(source.feed(tree_to_xml(tree)))
-            run.consume(source.close())
+            source.pump(tree_to_xml(tree), run)
+            source.close(run)
             assert run.root_mask == compiled._possible_mask(tree)
 
 

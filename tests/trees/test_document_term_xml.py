@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.errors import TermSyntaxError
@@ -139,3 +141,15 @@ class TestXmlIO:
 
     def test_bytes_input_is_accepted(self):
         assert tree_from_xml(b"<s><a/></s>") == parse_term("s(a)")
+
+    def test_namespaced_labels_keep_elementtree_spelling(self):
+        tree = tree_from_xml('<s xmlns="urn:x"><a/></s>')
+        assert tree == Tree("{urn:x}s", (Tree("{urn:x}a"),))
+        assert tree_from_xml(tree_to_xml(tree)) == tree
+
+    def test_deep_documents_parse_without_recursion(self):
+        depth = 5 * sys.getrecursionlimit()
+        tree = tree_from_xml("<a>" * depth + "</a>" * depth)
+        for _ in range(depth - 1):
+            (tree,) = tree.children
+        assert tree == Tree("a")
