@@ -65,7 +65,7 @@ def test_runtime_republish_round(benchmark, peers):
 
 
 def test_runtime_single_edit_round(benchmark):
-    """Edit one peer, revalidate: exactly one validator re-runs."""
+    """Edit one peer, revalidate: exactly one validator run, at publish."""
     workload = build(8)
     document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
     with ValidationRuntime(document, max_workers=4) as runtime:
@@ -76,11 +76,14 @@ def test_runtime_single_edit_round(benchmark):
 
         def edit_round():
             state["flip"] = not state["flip"]
+            before = runtime.stats.validations_run
             runtime.publish("f3", bad if state["flip"] else good)
-            return runtime.validate_locally()
+            report = runtime.validate_locally()
+            return runtime.stats.validations_run - before, report
 
-        report = benchmark(edit_round)
-        assert report.peers_validated == 1
+        validated, report = benchmark(edit_round)
+        # The publication settles at ingest; the round reuses cached acks.
+        assert validated == 1 and report.peers_validated == 0
 
 
 def test_workload_replay_comparison(benchmark, table):

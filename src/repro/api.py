@@ -434,9 +434,9 @@ class DesignSession:
             report = self._document.validate_locally()
             return {"function": function, "clean": False, "valid": report.valid}
         if self._runtime is not None:
-            clean = self._runtime.publish(function, payload, trace_id=trace_id)
-            report = self._runtime.validate_locally()
-            return {"function": function, "clean": clean, "valid": report.valid}
+            return self._runtime_reply(
+                self._runtime.publish(function, payload, trace_id=trace_id)
+            )
         if self._client is not None:
             return self._client.publish(
                 self.config.design_id, function, payload, trace_id=trace_id
@@ -461,13 +461,9 @@ class DesignSession:
         if self._document is not None:
             return self.publish(function, _payload_bytes(payload))
         if self._runtime is not None:
-            report = self._runtime.publish_stream(function, payload, chunk_bytes)
-            if report.malformed:
-                raise InvalidXMLError(f"payload for {function!r} is not XML")
-            valid = self._runtime.current_verdict()
-            if valid is None:
-                valid = self._runtime.validate_locally().valid
-            return {"function": function, "clean": report.clean, "valid": valid}
+            return self._runtime_reply(
+                self._runtime.publish_stream(function, payload, chunk_bytes)
+            )
         if self._client is not None:
             return self._client.publish_stream(
                 self.config.design_id,
@@ -483,6 +479,15 @@ class DesignSession:
         )
         result["valid"] = self._federation.global_verdict()["valid"]
         return result
+
+    def _runtime_reply(self, report) -> dict:
+        """The reply for a publication settled by the in-process runtime."""
+        if report.malformed:
+            raise InvalidXMLError(f"payload for {report.function!r} is not XML")
+        valid = self._runtime.current_verdict()
+        if valid is None:
+            valid = self._runtime.validate_locally().valid
+        return {"function": report.function, "clean": report.clean, "valid": valid}
 
     def trace(self, trace_id: Optional[str] = None, limit: Optional[int] = None) -> list:
         """The substrate's recorded trace events (optionally one trace's).

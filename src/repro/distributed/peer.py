@@ -15,32 +15,32 @@ from typing import Optional
 
 from repro.core.typing import SchemaType
 from repro.engine.batch import BatchValidator
-from repro.errors import DesignError
+from repro.streaming.machine import streaming_validator_for
 from repro.trees.document import Tree
-from repro.trees.xml_io import tree_to_xml
+from repro.trees.xml_io import tree_from_xml, tree_to_xml
 
 
 @dataclass(frozen=True)
-class StreamedDocument:
-    """What a peer holds after a *streamed* publication: verdict, not tree.
+class PublishedDocument:
+    """What a peer holds after a wire publication: its bytes and their verdict.
 
-    The streaming ingest path (:meth:`ValidationRuntime.publish_stream`)
-    validates a publication in one pass over its bytes and deliberately
-    retains no :class:`Tree` -- that is the whole point (O(depth) memory).
-    The peer keeps this content-addressed record instead: the payload's
-    wire fingerprint, the verdict, and the validator the verdict was
-    computed with.  Re-validating it returns the recorded verdict (same
-    bytes, same validator, same answer); doing so after the local type
-    changed is impossible without the bytes, so that raises a typed error
-    telling the caller to re-publish.
+    The runtime's ingest (:meth:`ValidationRuntime.publish
+    <repro.distributed.runtime.runtime.ValidationRuntime.publish>` and the
+    streamed path) folds a publication in one pass over its bytes and
+    builds no :class:`Tree`.  The peer keeps this content-addressed record
+    instead: the payload's wire fingerprint, the verdict, the validator
+    the verdict was computed with, and the payload itself -- so a local
+    type change re-folds the bytes and materialisation parses them.
     """
 
     fingerprint: str
     ack: bool
     validator: object
-    payload_bytes: int
-    depth: int = 0
-    events: int = 0
+    payload: bytes = field(repr=False)
+
+    @property
+    def payload_bytes(self) -> int:
+        return len(self.payload)
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,8 @@ class ResourcePeer(Peer):
     document:
         The document returned when the function is activated; its root is the
         dedicated root element ``s_i`` and only the forest below it is
-        attached to the kernel.
+        attached to the kernel.  After a wire publication it is a
+        :class:`PublishedDocument` (the bytes and their verdict).
     local_type:
         The propagated local type ``τi``, when one has been assigned.
     validator:
@@ -90,7 +91,7 @@ class ResourcePeer(Peer):
     """
 
     function: str = ""
-    document: Optional[Tree] = None
+    document: Optional[Tree | PublishedDocument] = None
     local_type: Optional[SchemaType] = None
     validator: Optional[BatchValidator] = field(default=None, repr=False)
     calls: int = field(default=0, repr=False)
@@ -115,20 +116,18 @@ class ResourcePeer(Peer):
         )
 
     def answer(self) -> Tree:
-        """Return the document for a call of the resource (counts the call)."""
+        """Return the document for a call of the resource (counts the call).
+
+        A published document is parsed from its retained bytes on demand.
+        """
         if self.document is None:
             raise RuntimeError(f"peer {self.name!r} has no document for {self.function!r}")
-        if isinstance(self.document, StreamedDocument):
-            # Materialisation (the centralized strategy) needs the tree,
-            # which a streamed publication deliberately never built.
-            raise DesignError(
-                f"peer {self.name!r} holds a streamed publication; its tree was not "
-                "retained, so it cannot be materialised -- re-publish the document"
-            )
         self.calls += 1
+        if isinstance(self.document, PublishedDocument):
+            return tree_from_xml(self.document.payload)
         return self.document
 
-    def update_document(self, document: Tree) -> None:
+    def update_document(self, document: Tree | PublishedDocument) -> None:
         """Replace the peer's document (e.g. a national bureau publishing new data)."""
         self.document = document
 
@@ -136,45 +135,35 @@ class ResourcePeer(Peer):
         """Validate the peer's own document against its local type.
 
         This is the whole point of a local typing: the check involves no
-        other peer and no data shipping.
+        other peer and no data shipping.  A published document's recorded
+        verdict stands while the peer keeps the validator it was computed
+        with; after a type change its retained bytes are folded again.
         """
-        if self.local_type is None:
+        if self.validator is None:
             raise RuntimeError(f"peer {self.name!r} has no local type to validate against")
         if self.document is None:
             return False
-        if isinstance(self.document, StreamedDocument):
-            # A streamed publication kept no tree: the verdict recorded at
-            # stream time is authoritative for those bytes -- but only
-            # against the validator it was computed with.
-            if self.document.validator is not self.validator:
-                raise DesignError(
-                    f"peer {self.name!r} holds a streamed publication validated against a "
-                    "replaced local type; the payload was not retained, re-publish it"
-                )
-            return self.document.ack
-        return self.validate_document(self.document)
-
-    def validate_document(self, document: Tree) -> bool:
-        """Validate ``document`` against the local type without installing it."""
-        if self.local_type is None:
-            raise RuntimeError(f"peer {self.name!r} has no local type to validate against")
-        if self.validator is not None:
-            return self.validator.validate(document)
-        return self.local_type.validate(document)
+        if isinstance(self.document, PublishedDocument):
+            if self.document.validator is self.validator:
+                return self.document.ack
+            return streaming_validator_for(self.validator.compiled).validate_payload(
+                self.document.payload
+            )
+        return self.validator.validate(self.document)
 
     def document_size(self) -> int:
         """Bytes of the peer's document (what centralized validation must ship)."""
         if self.document is None:
             return 0
-        if isinstance(self.document, StreamedDocument):
+        if isinstance(self.document, PublishedDocument):
             return self.document.payload_bytes
         return document_bytes(self.document)
 
     def describe(self) -> str:
-        if isinstance(self.document, StreamedDocument):
+        if isinstance(self.document, PublishedDocument):
             return (
                 f"peer {self.name} provides {self.function} "
-                f"(streamed, {self.document.payload_bytes} bytes)"
+                f"(published, {self.document.payload_bytes} bytes)"
             )
         size = self.document.size if self.document is not None else 0
         return f"peer {self.name} provides {self.function} ({size} nodes)"

@@ -27,7 +27,7 @@ from repro.distributed.runtime.runtime import (
     RuntimeReport,
     RuntimeStats,
     StreamIngest,
-    StreamPublishReport,
+    PublishReport,
     ValidationRuntime,
     merge_states,
     state_digest_of,
@@ -43,7 +43,7 @@ __all__ = [
     "ShardScheduler",
     "StrategyOutcome",
     "StreamIngest",
-    "StreamPublishReport",
+    "PublishReport",
     "ValidationRuntime",
     "WorkloadDriver",
     "WorkloadReport",

@@ -9,8 +9,8 @@ network so the cost ledgers are comparable:
   :meth:`~repro.distributed.network.DistributedDocument.validate_locally`:
   every publication is parsed and every peer revalidates every round;
 * ``runtime`` -- the sharded :class:`~repro.distributed.runtime.runtime.ValidationRuntime`:
-  parallel validation with content-addressed incremental revalidation
-  (publications whose bytes are unchanged are dropped after one hash);
+  content-addressed ingest (publications whose bytes are unchanged are
+  dropped after one hash; the rest are folded once, whole, at publish);
 * ``stream`` -- the event-driven path: every publication is fed chunk by
   chunk through :meth:`ValidationRuntime.publish_stream`, hashed and
   validated in a single pass with no tree ever materialised;

@@ -17,21 +17,18 @@
   re-publishes equal content as a fresh object -- the normal case after a
   round-trip through serialisation -- stays clean, which the per-object
   identity memo of :class:`~repro.engine.batch.CompiledSchema` cannot see.
-* **Wire-level ingest** -- :meth:`ValidationRuntime.publish` accepts a
-  publication as serialised XML and content-addresses the *bytes*
-  (:func:`~repro.engine.fingerprint.payload_fingerprint`) before any
-  parsing.  Hashing runs at native speed, so a byte-identical
-  re-publication costs one digest and nothing else; only changed payloads
-  are parsed (inside the shard task, off the coordinator) and revalidated.
-* **Streamed ingest** -- :meth:`ValidationRuntime.publish_stream` /
-  :meth:`ValidationRuntime.begin_stream` take the publication as *chunks*
-  and never materialise a tree at all: each chunk is hashed and pushed
-  through the peer's event-driven :mod:`~repro.streaming` validator in one
-  pass, so working memory is O(document depth) and the verdict settles at
-  ingest time (no validation round).  The peer then holds a
-  content-addressed :class:`~repro.distributed.peer.StreamedDocument`
-  record; re-publications dedupe against tree-path publications and vice
-  versa because both address the same payload bytes.
+* **Wire-level ingest** -- every publication arrives as serialised XML,
+  whole (:meth:`ValidationRuntime.publish`) or in chunks
+  (:meth:`ValidationRuntime.publish_stream` /
+  :meth:`ValidationRuntime.begin_stream`), and takes one path: its bytes
+  are content-addressed (:func:`~repro.engine.fingerprint.payload_fingerprint`)
+  and folded through the peer's :mod:`~repro.streaming` validator, with
+  no :class:`~repro.trees.document.Tree` built.  A byte-identical
+  re-publication costs one digest and nothing else; anything else settles
+  its verdict at ingest time (no validation round).  The peer then holds a
+  :class:`~repro.distributed.peer.PublishedDocument`: the payload bytes
+  and their verdict.  A typing change re-folds the retained bytes, and
+  the centralized strategy parses them on demand.
 * **Cost/statistics accounting** -- a :class:`RuntimeReport` extends the
   serial :class:`~repro.distributed.network.ValidationReport` with how many
   peers actually revalidated, and :class:`RuntimeStats` accumulates the
@@ -49,7 +46,7 @@ from typing import Optional
 
 from repro.core.typing import TreeTyping
 from repro.distributed.network import DistributedDocument, ValidationReport
-from repro.distributed.peer import StreamedDocument
+from repro.distributed.peer import PublishedDocument
 from repro.distributed.runtime.scheduler import ShardScheduler
 from repro.distributed.runtime.sharding import ShardMap
 from repro.engine.batch import BatchValidator
@@ -63,7 +60,6 @@ from repro.engine.fingerprint import (
 from repro.errors import DesignError, InvalidXMLError
 from repro.streaming.events import XMLEventSource, iter_chunks
 from repro.streaming.machine import streaming_validator_for
-from repro.trees.xml_io import tree_from_xml
 
 #: Fingerprint recorded for a peer with no document (validation returns False).
 _NO_DOCUMENT = "<no-document>"
@@ -87,17 +83,12 @@ def merge_states(states) -> dict:
     Each pod of a federation owns a disjoint subset of the design's
     functions, so its :meth:`ValidationRuntime.export_state` covers only
     those; the union over all pods reconstructs the state a single
-    runtime holding every function would export.  ``pending`` entries
-    (queued wire publications) are unioned and re-sorted.
+    runtime holding every function would export.
     """
-    merged: dict = {"acks": {}, "validated_fp": {}, "current_fp": {}, "pending": []}
-    pending: set[str] = set()
+    merged: dict = {"acks": {}, "validated_fp": {}, "current_fp": {}}
     for state in states:
-        merged["acks"].update(state.get("acks", {}))
-        merged["validated_fp"].update(state.get("validated_fp", {}))
-        merged["current_fp"].update(state.get("current_fp", {}))
-        pending.update(state.get("pending", ()))
-    merged["pending"] = sorted(pending)
+        for key, values in merged.items():
+            values.update(state.get(key, {}))
     return merged
 
 
@@ -145,12 +136,6 @@ class RuntimeReport(ValidationReport):
     peers_validated: int = 0
     peers_skipped: int = 0
     wall_seconds: float = 0.0
-    #: Functions whose queued wire publication failed to parse this round
-    #: (or nests deeper than the recursive tree validator reaches).
-    #: The network service maps these to typed ``invalid-xml`` error frames;
-    #: the verdict accounting is unchanged (a malformed publication is an
-    #: invalid publication, ack ``False``).
-    parse_failures: tuple[str, ...] = ()
 
     def __str__(self) -> str:
         base = super().__str__()
@@ -166,12 +151,11 @@ class _PeerOutcome:
     ack: bool
     validated: bool
     fingerprinted: bool
-    malformed: bool = False
 
 
 @dataclass(frozen=True)
-class StreamPublishReport:
-    """The settled outcome of one streamed publication."""
+class PublishReport:
+    """The settled outcome of one wire publication (whole-frame or streamed)."""
 
     function: str
     fingerprint: str
@@ -184,7 +168,7 @@ class StreamPublishReport:
 
     def __str__(self) -> str:
         state = "clean" if self.clean else ("malformed" if self.malformed else "validated")
-        return f"stream-publish {self.function}: {state} valid={self.valid}"
+        return f"publish {self.function}: {state} valid={self.valid}"
 
 
 class StreamIngest:
@@ -192,14 +176,14 @@ class StreamIngest:
 
     Created by :meth:`ValidationRuntime.begin_stream`.  Every chunk fed is
     simultaneously hashed (the same content address
-    :meth:`ValidationRuntime.publish` computes over whole payloads) and
-    pushed through the peer's streaming validator -- no :class:`Tree` is
-    ever materialised and no contiguous payload buffer exists anywhere.
-    :meth:`finish` settles the publication against the runtime's
-    incremental state: a byte-identical re-publication is reported clean
-    (the cached acknowledgement stands), anything else records its fresh
-    verdict immediately -- a streamed publication never waits for a
-    validation round.
+    :meth:`ValidationRuntime.publish` computes over whole payloads),
+    pushed through the peer's streaming validator and kept for the peer's
+    record -- no :class:`Tree` is ever materialised.  :meth:`finish`
+    settles the publication exactly like ``publish``: a byte-identical
+    re-publication is reported clean (the cached acknowledgement stands),
+    anything else records its fresh verdict and the joined payload
+    immediately -- a streamed publication never waits for a validation
+    round.
 
     Not safe to drive concurrently with other runtime mutations; callers
     (the service) serialise settlement exactly like ``publish`` rounds.
@@ -212,7 +196,7 @@ class StreamIngest:
         "_hasher",
         "_source",
         "_run",
-        "_malformed",
+        "_chunks",
         "_payload_bytes",
         "_finished",
         "_max_depth",
@@ -220,21 +204,18 @@ class StreamIngest:
     )
 
     def __init__(self, runtime: "ValidationRuntime", function: str) -> None:
-        if function not in runtime.document.resources:
-            raise DesignError(f"no resource peer serves function {function!r}")
-        peer = runtime.document.resources[function]
-        if peer.validator is None:
-            raise DesignError(f"no local type propagated to {function!r}")
         self._runtime = runtime
         self.function = function
         #: Pinned at begin time: the verdict is recorded against the
         #: validator the bytes actually streamed through, even if a typing
         #: re-propagation races the stream.
-        self._validator = peer.validator
+        self._validator = runtime._pinned_validator(function)
         self._hasher = payload_hasher()
         self._source = XMLEventSource()
-        self._run = streaming_validator_for(peer.validator.compiled).run()
-        self._malformed = False
+        self._run = streaming_validator_for(self._validator.compiled).run()
+        #: The chunks fed so far (joined into the peer's record at finish);
+        #: ``None`` once the payload proved malformed.
+        self._chunks: Optional[list[bytes]] = []
         self._payload_bytes = 0
         self._finished = False
         self._max_depth = 0
@@ -245,14 +226,15 @@ class StreamIngest:
 
         What a severed connection or an idle-stream reaper calls: the
         runtime never learns the stream existed (no stats, no acks, no
-        document update), and the parser/hasher state is dropped so an
-        abandoned stream cannot hold frame stacks alive.  Idempotent, and
-        safe to call after :meth:`finish`.
+        document update), and the parser/hasher state and the buffered
+        chunks are dropped so an abandoned stream cannot hold them alive.
+        Idempotent, and safe to call after :meth:`finish`.
         """
         self._finished = True
         self._source = None
         self._run = None
         self._hasher = None
+        self._chunks = None
 
     def feed(self, chunk: str | bytes) -> None:
         """Hash and validate one chunk (malformed input flips to hash-only)."""
@@ -261,20 +243,19 @@ class StreamIngest:
         data = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
         self._hasher.update(data)
         self._payload_bytes += len(data)
-        if not self._malformed:
+        if self._chunks is not None:
+            self._chunks.append(data)
             try:
                 self._source.pump(data, self._run)
             except InvalidXMLError:
                 # Keep hashing (the content address must cover the whole
                 # payload so re-publishing the same bad bytes clean-skips),
-                # but drop the parser and the frame stack right away.
-                self._malformed = True
+                # but drop the parser, the frame stack and the bytes.
                 self._max_depth = self._run.max_depth
                 self._events = self._run.events
-                self._source = None
-                self._run = None
+                self._chunks = self._source = self._run = None
 
-    def finish(self) -> StreamPublishReport:
+    def finish(self) -> PublishReport:
         """Settle the publication: clean skip, fresh verdict, or malformed.
 
         Settlement mutates the runtime's incremental state, so it runs
@@ -284,82 +265,35 @@ class StreamIngest:
         """
         if self._finished:
             raise DesignError("this streamed publication is already settled")
-        with self._runtime._state_lock:
-            return self._finish_locked()
-
-    def _finish_locked(self) -> StreamPublishReport:
-        self._finished = True
-        runtime = self._runtime
-        function = self.function
-        peer = runtime.document.resources[function]
-        fingerprint = "wire:" + payload_hexdigest(self._hasher)
-        runtime.stats.publications += 1
-        runtime.stats.streamed_publications += 1
-        runtime.stats.fingerprints_computed += 1
-        if self._run is not None:
-            max_depth, events = self._run.max_depth, self._run.events
-        else:
-            max_depth, events = self._max_depth, self._events
-        if (
-            function in runtime._acks
-            and function not in runtime._pending_payloads
-            and runtime._current_fp[function] == fingerprint
-            and runtime._validated_fp.get(function) == fingerprint
-            and peer.document is runtime._fp_document.get(function)
-            and peer.validator is runtime._ack_validator.get(function)
-        ):
-            runtime.stats.clean_publications += 1
-            return StreamPublishReport(
-                function,
-                fingerprint,
-                clean=True,
-                valid=runtime._acks[function],
-                payload_bytes=self._payload_bytes,
-                max_depth=max_depth,
-                events=events,
-            )
-        malformed = self._malformed
-        ack = False
-        validator = self._validator
-        if not malformed:
-            try:
-                self._source.close(self._run)
-            except InvalidXMLError:
-                malformed = True
-            else:
-                ack = self._run.verdict()
-                max_depth, events = self._run.max_depth, self._run.events
-        if malformed:
-            # An unparseable publication is an invalid one; the peer keeps
-            # whatever it held before, like the tree-based wire path.
-            validator = peer.validator
-        else:
-            peer.update_document(
-                StreamedDocument(
-                    fingerprint, ack, validator, self._payload_bytes, max_depth, events
+        runtime, function, run = self._runtime, self.function, self._run
+        with runtime._state_lock:
+            self._finished = True
+            fingerprint = "wire:" + payload_hexdigest(self._hasher)
+            runtime.stats.streamed_publications += 1
+            if run is not None:
+                self._max_depth, self._events = run.max_depth, run.events
+            cached = runtime._clean_ack_locked(function, fingerprint)
+            if cached is not None:
+                return PublishReport(
+                    function, fingerprint, clean=True, valid=cached,
+                    payload_bytes=self._payload_bytes,
+                    max_depth=self._max_depth, events=self._events,
                 )
+            ack, payload = False, None
+            if run is not None:
+                try:
+                    self._source.close(run)
+                except InvalidXMLError:
+                    pass
+                else:
+                    ack, payload = run.verdict(), b"".join(self._chunks)
+                    self._max_depth, self._events = run.max_depth, run.events
+            runtime._settle_locked(function, fingerprint, self._validator, ack, payload)
+            return PublishReport(
+                function, fingerprint, clean=False, valid=ack, malformed=payload is None,
+                payload_bytes=self._payload_bytes,
+                max_depth=self._max_depth, events=self._events,
             )
-        # A streamed publication supersedes any queued whole-payload one.
-        runtime._pending_payloads.pop(function, None)
-        runtime._current_fp[function] = fingerprint
-        runtime._validated_fp[function] = fingerprint
-        runtime._acks[function] = ack
-        runtime._fp_document[function] = peer.document
-        runtime._ack_validator[function] = validator
-        runtime.stats.validations_run += 1
-        coordinator = runtime.document.coordinator.name
-        runtime.network.send_control(coordinator, peer.name, "validate-request", function)
-        runtime.network.send_control(peer.name, coordinator, "validate-result", str(ack))
-        return StreamPublishReport(
-            function,
-            fingerprint,
-            clean=False,
-            valid=ack,
-            malformed=malformed,
-            payload_bytes=self._payload_bytes,
-            max_depth=max_depth,
-            events=events,
-        )
 
 
 class ValidationRuntime:
@@ -386,10 +320,10 @@ class ValidationRuntime:
         :mod:`repro.engine.backends`) -- distinct from ``backend``, which
         names the scheduler.  Resolved eagerly (argument >
         ``$REPRO_BACKEND`` > ``python``) so an unavailable backend fails
-        at construction.  ``publish`` validates through it; the streamed
-        ingest of ``publish_stream`` keeps the interpreted O(depth)
-        machine for its incremental per-chunk contract, inheriting only
-        the memoized compiled schema.
+        at construction.  ``publish`` folds whole payloads through it; the
+        streamed ingest of ``publish_stream`` keeps the interpreted
+        O(depth) machine for its incremental per-chunk contract,
+        inheriting only the memoized compiled schema.
     """
 
     def __init__(
@@ -407,11 +341,8 @@ class ValidationRuntime:
         self.document = document
         self.network = document.network
         self.validation_backend = resolve_backend(validation_backend)
-        #: Optional :class:`repro.observability.TraceRecorder`.  Trace ids
-        #: ride with publications (``_pending_traces``), so the shard task
-        #: that eventually parses and validates a payload can stamp its
-        #: settle event with the publication's trace even when the
-        #: validation round runs later, from another thread.
+        #: Optional :class:`repro.observability.TraceRecorder`: each
+        #: ``publish`` stamps its outcome with the publication's trace id.
         self.tracer = tracer
         #: Optional :class:`repro.observability.LogRecorder` -- the trace
         #: ring's prose twin; publish/settle outcomes are logged into it
@@ -437,14 +368,9 @@ class ValidationRuntime:
         self._validated_fp: dict[str, str] = {}
         #: function -> cached acknowledgement of the last validation.
         self._acks: dict[str, bool] = {}
-        #: function -> (wire digest, raw payload) awaiting parse+validate.
-        self._pending_payloads: dict[str, tuple[str, str | bytes]] = {}
-        #: function -> trace id of the publication that queued the pending
-        #: payload (drained alongside ``_pending_payloads`` by the round).
-        self._pending_traces: dict[str, str] = {}
-        #: function -> the Tree object the current fingerprint was computed
-        #: for.  A fingerprint is only trusted while the peer still holds
-        #: that exact object, so updates applied behind the runtime's back
+        #: function -> the document object the current fingerprint was
+        #: computed for.  A fingerprint is only trusted while the peer still
+        #: holds that exact object, so updates applied behind the runtime's back
         #: (``document.update_resource`` / ``peer.update_document``) are
         #: detected and re-fingerprinted instead of reusing a stale ack.
         self._fp_document: dict[str, object] = {}
@@ -508,7 +434,7 @@ class ValidationRuntime:
     # ------------------------------------------------------------------ #
 
     def update_document(self, function: str, document) -> None:
-        """A peer publishes a new document version.
+        """A peer publishes a new document version as a tree.
 
         The content is fingerprinted lazily (inside the next validation
         round's shard task, off the coordinator); a re-publication of equal
@@ -518,81 +444,146 @@ class ValidationRuntime:
             raise DesignError(f"no resource peer serves function {function!r}")
         with self._state_lock:
             self.document.resources[function].update_document(document)
-            self._pending_payloads.pop(function, None)
-            self._pending_traces.pop(function, None)
             self._current_fp[function] = None
 
-    def publish(self, function: str, payload: str | bytes, trace_id: Optional[str] = None) -> bool:
+    def publish(
+        self, function: str, payload: str | bytes, trace_id: Optional[str] = None
+    ) -> PublishReport:
         """A peer publishes its document as serialised XML (the wire format).
 
         The payload is content-addressed *before* any parsing: when the
         digest matches the bytes the peer's cached acknowledgement was
-        computed for, the publication is dropped on the spot -- one native
-        hash, no parse, no validation, no dispatch.  Otherwise the payload
-        is queued; the next :meth:`validate_locally` round parses it inside
-        the peer's shard task (so parsing parallelises with everything
-        else) and revalidates.  A payload that fails to parse counts as an
-        invalid publication (the peer acknowledges ``False``; its previous
-        document is kept).
+        computed for, the publication is clean -- one native hash, no
+        parser.  Otherwise the peer's validator is pinned, the bytes are
+        folded once through its streaming validator (the generated fold on
+        the ``codegen`` backend) outside the state lock, and the verdict
+        settles on the spot exactly as :meth:`StreamIngest.finish` settles
+        a stream: the peer keeps the bytes and their verdict.  A payload
+        that is not well-formed XML is an invalid publication (ack
+        ``False``; the peer keeps its previous document).  No nesting depth
+        is too deep for the fold.
 
-        Returns ``True`` when the publication was clean (dropped unparsed).
+        Raises :class:`~repro.errors.DesignError` when no peer serves
+        ``function`` or no local type has been propagated to it.
         """
-        if function not in self.document.resources:
-            raise DesignError(f"no resource peer serves function {function!r}")
-        fingerprint = "wire:" + payload_fingerprint(payload)
+        started = time.perf_counter()
+        validator = self._pinned_validator(function)
+        data = payload.encode("utf-8") if isinstance(payload, str) else payload
+        fingerprint = "wire:" + payload_fingerprint(data)
         with self._state_lock:
-            self.stats.publications += 1
-            if (
-                function in self._acks
-                and function not in self._pending_payloads
-                and self._current_fp[function] == fingerprint
-                and self._validated_fp.get(function) == fingerprint
-                and self.document.resources[function].document is self._fp_document.get(function)
-                and self.document.resources[function].validator is self._ack_validator.get(function)
-            ):
-                self.stats.clean_publications += 1
-                if self.tracer is not None:
-                    self.tracer.record_flat(
-                        trace_id, "runtime.publish", None, "function", function, "clean", True
-                    )
-                if self.logger is not None:
-                    self.logger.log_flat(
-                        "debug", "publication clean (fingerprint hit)", trace_id,
-                        "function", function,
-                    )
-                return True
-            self._pending_payloads[function] = (fingerprint, payload)
-            if trace_id is not None:
-                self._pending_traces[function] = trace_id
-            self._current_fp[function] = None
+            cached = self._clean_ack_locked(function, fingerprint)
+        if cached is not None:
+            if self.tracer is not None:
+                self.tracer.record_flat(
+                    trace_id, "runtime.publish", None, "function", function, "clean", True
+                )
+            if self.logger is not None:
+                self.logger.log_flat(
+                    "debug", "publication clean (fingerprint hit)", trace_id,
+                    "function", function,
+                )
+            return PublishReport(
+                function, fingerprint, clean=True, valid=cached, payload_bytes=len(data)
+            )
+        try:
+            ack = streaming_validator_for(validator.compiled).validate_payload(data)
+        except InvalidXMLError:
+            ack, retained = False, None
+        else:
+            retained = data
+        with self._state_lock:
+            self._settle_locked(function, fingerprint, validator, ack, retained)
+        malformed = retained is None
         if self.tracer is not None:
             self.tracer.record_flat(
-                trace_id, "runtime.publish", None, "function", function, "clean", False
+                trace_id, "runtime.publish", 1000 * (time.perf_counter() - started),
+                "function", function, "clean", False,
+                "backend", validator.backend, "peer_valid", ack,
             )
         if self.logger is not None:
             self.logger.log_flat(
-                "info", "publication queued for validation", trace_id,
-                "function", function, "bytes", len(payload),
+                "warning" if malformed else "info", "publication settled", trace_id,
+                "function", function, "peer_valid", ack,
+                "bytes", len(data), "malformed", malformed,
             )
-        return False
+        return PublishReport(
+            function, fingerprint, clean=False, valid=ack, malformed=malformed,
+            payload_bytes=len(data),
+        )
+
+    def _pinned_validator(self, function: str):
+        """The validator a publication for ``function`` folds through."""
+        peer = self.document.resources.get(function)
+        if peer is None:
+            raise DesignError(f"no resource peer serves function {function!r}")
+        if peer.validator is None:
+            raise DesignError(f"no local type propagated to {function!r}")
+        return peer.validator
+
+    def _clean_ack_locked(self, function: str, fingerprint: str) -> Optional[bool]:
+        """Count one publication; return the cached ack when its bytes are clean.
+
+        Clean means the peer's cached acknowledgement was computed for
+        exactly these bytes, with the validator and document record the
+        peer still holds.  ``None`` means the publication must be folded.
+        """
+        peer = self.document.resources[function]
+        self.stats.publications += 1
+        self.stats.fingerprints_computed += 1
+        if (
+            function in self._acks
+            and self._current_fp[function] == fingerprint
+            and self._validated_fp.get(function) == fingerprint
+            and peer.document is self._fp_document.get(function)
+            and peer.validator is self._ack_validator.get(function)
+        ):
+            self.stats.clean_publications += 1
+            return self._acks[function]
+        return None
+
+    def _settle_locked(
+        self,
+        function: str,
+        fingerprint: str,
+        validator,
+        ack: bool,
+        payload: Optional[bytes],
+    ) -> None:
+        """Record one folded publication (``publish`` and streams alike).
+
+        ``payload`` is ``None`` when the bytes were not XML: an invalid
+        publication whose ack stands against the peer's current validator,
+        while the peer keeps whatever it held before.
+        """
+        peer = self.document.resources[function]
+        if payload is None:
+            validator = peer.validator
+        else:
+            peer.update_document(PublishedDocument(fingerprint, ack, validator, payload))
+        self._current_fp[function] = fingerprint
+        self._validated_fp[function] = fingerprint
+        self._acks[function] = ack
+        self._fp_document[function] = peer.document
+        self._ack_validator[function] = validator
+        self.stats.validations_run += 1
+        coordinator = self.document.coordinator.name
+        self.network.send_control(coordinator, peer.name, "validate-request", function)
+        self.network.send_control(peer.name, coordinator, "validate-result", str(ack))
 
     def begin_stream(self, function: str) -> StreamIngest:
         """Start a streamed publication for one peer (digest + validate, one pass).
 
         The returned :class:`StreamIngest` accepts payload chunks of any
         size through ``feed`` and settles on ``finish`` -- no ``Tree`` is
-        materialised, working memory stays O(document depth), and the
-        verdict is available immediately (no validation round needed).
-        The peer afterwards holds a content-addressed
-        :class:`~repro.distributed.peer.StreamedDocument` record instead
-        of a tree; re-validating it after a typing change requires
-        re-publishing (the bytes were deliberately not retained).
+        materialised, and the verdict is available immediately (no
+        validation round needed).  The peer afterwards holds the joined
+        payload and its verdict, like after :meth:`publish`.
         """
         return StreamIngest(self, function)
 
     def publish_stream(
         self, function: str, payload, chunk_bytes: int = 65536
-    ) -> StreamPublishReport:
+    ) -> PublishReport:
         """Publish serialised XML through the streaming path in one call.
 
         ``payload`` may be ``bytes``/``str`` (sliced into bounded chunks
@@ -609,7 +600,7 @@ class ValidationRuntime:
 
     def settle_stream(
         self, ingest: StreamIngest, trace_id: Optional[str] = None
-    ) -> tuple[StreamPublishReport, Optional[bool]]:
+    ) -> tuple[PublishReport, Optional[bool]]:
         """Settle a streamed publication and read the global verdict atomically.
 
         What the service calls when a chunked stream ends: the settlement
@@ -689,12 +680,10 @@ class ValidationRuntime:
             self.propagate_typing(typing)
 
         # Peers that need any work this round: an unknown fingerprint (the
-        # content changed, was re-published, or was swapped behind the
-        # runtime's back -- the fingerprint is only trusted while the peer
-        # still holds the object it was computed for), a missing ack, or a
-        # forced run.  Shards whose members are all clean are not dispatched.
-        payloads, self._pending_payloads = self._pending_payloads, {}
-        traces, self._pending_traces = self._pending_traces, {}
+        # content changed, or was swapped behind the runtime's back -- the
+        # fingerprint is only trusted while the peer still holds the object
+        # it was computed for), a missing ack, or a forced run.  Shards
+        # whose members are all clean are not dispatched.
         attention = {
             function
             for function, peer in self.document.resources.items()
@@ -711,33 +700,11 @@ class ValidationRuntime:
         ]
 
         def run_shard(shard: int, engine: CompilationEngine) -> list[_PeerOutcome]:
-            shard_started = time.perf_counter()
             outcomes = []
             for function in self.shard_map.members(shard):
                 if function not in attention:
                     continue
                 peer = self.document.resources[function]
-                pending = payloads.get(function)
-                if pending is not None:
-                    # Parse and validate the queued publication here, off the
-                    # coordinator; the peer's document is replaced only once
-                    # the publication has a verdict.
-                    fingerprint, payload = pending
-                    try:
-                        published = tree_from_xml(payload)
-                        ack = peer.validate_document(published)
-                    except (InvalidXMLError, RecursionError):
-                        # Malformed XML, or nesting deeper than the recursive
-                        # tree validator reaches: an invalid publication.  The
-                        # peer's previous document is kept; re-publishing the
-                        # same bytes is clean-skipped like any other content.
-                        outcomes.append(
-                            _PeerOutcome(function, fingerprint, False, True, True, malformed=True)
-                        )
-                        continue
-                    peer.update_document(published)
-                    outcomes.append(_PeerOutcome(function, fingerprint, ack, True, True))
-                    continue
                 fingerprint = self._current_fp[function]
                 fingerprinted = (
                     fingerprint is None
@@ -757,55 +724,15 @@ class ValidationRuntime:
                 )
                 ack = peer.validate_locally() if stale else self._acks[function]
                 outcomes.append(_PeerOutcome(function, fingerprint, ack, stale, fingerprinted))
-            if self.tracer is not None and traces:
-                shard_ms = 1000 * (time.perf_counter() - shard_started)
-                for outcome in outcomes:
-                    trace_id = traces.get(outcome.function)
-                    if trace_id:
-                        self.tracer.record_flat(
-                            trace_id,
-                            "shard.settle",
-                            shard_ms,
-                            "shard",
-                            shard,
-                            "function",
-                            outcome.function,
-                            "backend",
-                            self.validation_backend,
-                            "ack",
-                            outcome.ack,
-                            "validated",
-                            outcome.validated,
-                        )
-            if self.logger is not None and traces:
-                for outcome in outcomes:
-                    trace_id = traces.get(outcome.function)
-                    if trace_id:
-                        self.logger.log_flat(
-                            "info", "shard settled publication", trace_id,
-                            "shard", shard, "function", outcome.function,
-                            "ack", outcome.ack,
-                        )
             return outcomes
 
         validated = skipped = fingerprinted = 0
         valid = True
         coordinator = self.document.coordinator.name
         handled: set[str] = set()
-        parse_failures: list[str] = []
-        try:
-            shard_outcomes = self.scheduler.map_shards(run_shard, pending_shards)
-        except BaseException:
-            # A failed round must not swallow queued publications: re-queue
-            # whatever this round took (newer publishes, if any, win).
-            self._pending_payloads = {**payloads, **self._pending_payloads}
-            self._pending_traces = {**traces, **self._pending_traces}
-            raise
-        for outcomes in shard_outcomes:
+        for outcomes in self.scheduler.map_shards(run_shard, pending_shards):
             for outcome in outcomes:
                 handled.add(outcome.function)
-                if outcome.malformed:
-                    parse_failures.append(outcome.function)
                 self._current_fp[outcome.function] = outcome.fingerprint
                 self._fp_document[outcome.function] = self.document.resources[
                     outcome.function
@@ -855,7 +782,6 @@ class ValidationRuntime:
             peers_validated=validated,
             peers_skipped=skipped,
             wall_seconds=elapsed,
-            parse_failures=tuple(sorted(parse_failures)),
         )
 
     # ------------------------------------------------------------------ #
@@ -871,11 +797,10 @@ class ValidationRuntime:
         """The global verdict derivable from cached acks alone, if any.
 
         ``None`` when some peer has no cached acknowledgement or has
-        pending/unfingerprinted content -- callers must run a
-        :meth:`validate_locally` round to get a verdict.  When every peer
-        is clean this answers without dispatching anything, which is what
-        lets the service acknowledge byte-identical re-publications at
-        hashing speed.
+        unfingerprinted content (a tree update, a typing change) -- callers
+        must run a :meth:`validate_locally` round to get a verdict.  Wire
+        publications settle at ingest, so after them this answers without
+        dispatching anything.
         """
         with self._state_lock:
             if self.dirty_peers():
@@ -887,20 +812,19 @@ class ValidationRuntime:
 
         Covers the per-peer content fingerprints (which address the
         documents themselves), the cached acknowledgements and the
-        fingerprints they were computed for, and the set of queued wire
-        publications.  Because every fingerprint is content-addressed
-        (``tree:`` over the document structure, ``wire:`` over payload
-        bytes), exports are comparable across processes: a federation
-        merges per-pod exports with :func:`merge_states` and digests the
-        union with :func:`state_digest_of` to compare against a
-        single-process runtime.
+        fingerprints they were computed for.  Because every fingerprint
+        is content-addressed (``tree:`` over the document structure,
+        ``wire:`` over payload bytes), exports are comparable across
+        processes: a federation merges per-pod exports with
+        :func:`merge_states` and digests the union with
+        :func:`state_digest_of` to compare against a single-process
+        runtime.
         """
         with self._state_lock:
             return {
                 "acks": dict(self._acks),
                 "validated_fp": dict(self._validated_fp),
                 "current_fp": dict(self._current_fp),
-                "pending": sorted(self._pending_payloads),
             }
 
     def state_digest(self) -> str:

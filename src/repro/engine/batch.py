@@ -148,6 +148,13 @@ class CompiledSchema:
             self._rules_by_label.setdefault(label, []).append(
                 (self._state_bit[state], compiled)
             )
+        #: label -> the mask of a leaf with that label (the rules whose
+        #: horizontal automaton accepts the empty word).
+        self._leaf_masks: dict[str, int] = {}
+        for label, rules in self._rules_by_label.items():
+            for state_bit, compiled in rules:
+                if compiled.initial_mask & compiled.finals_closed:
+                    self._leaf_masks[label] = self._leaf_masks.get(label, 0) | state_bit
         self._document_memo: OrderedDict[int, tuple[Tree, frozenset]] = OrderedDict()
         #: Union-row cache counters (plain int adds on the kernel hot path;
         #: surfaced in ``engine_stats`` under the ``union-row`` kind).
@@ -184,22 +191,45 @@ class CompiledSchema:
         return bool(current & compiled.finals_closed)
 
     def _possible_mask(self, tree: Tree) -> int:
-        child_masks = []
-        for child in tree.children:
-            mask = self._possible_mask(child)
-            if not mask:
-                return 0
-            child_masks.append(mask)
-        rules = self._rules_by_label.get(tree.label)
-        if not rules:
-            return 0
-        result = 0
+        """The root's assignable-state bitmask: a post-order fold on an explicit stack.
+
+        A node's mask is the union of the state bits whose horizontal
+        automaton accepts its children's masks; the first node whose mask
+        is empty makes the whole document's mask 0.  Iterative, so any
+        depth folds.
+        """
+        rules_by_label = self._rules_by_label
         accepts = self._horizontal_accepts
         stats = self._union_stats
-        for state_bit, compiled in rules:
-            if accepts(compiled, child_masks, stats):
-                result |= state_bit
-        return result
+        leaf_masks = self._leaf_masks
+        # The open node's label, children, next child index and child masks
+        # live in locals; descending into an inner child pushes them.  Leaf
+        # children fold inline from their precomputed masks.
+        stack = []
+        label, children, masks, index = tree.label, tree.children, [], 0
+        while True:
+            while index < len(children):
+                child = children[index]
+                index += 1
+                if child.children:
+                    stack.append((label, children, masks, index))
+                    label, children, masks, index = child.label, child.children, [], 0
+                else:
+                    mask = leaf_masks.get(child.label, 0)
+                    if not mask:
+                        return 0
+                    masks.append(mask)
+            rules = rules_by_label.get(label)
+            if not rules:
+                return 0
+            mask = 0
+            for state_bit, compiled in rules:
+                if accepts(compiled, masks, stats):
+                    mask |= state_bit
+            if not mask or not stack:
+                return mask
+            label, children, masks, index = stack.pop()
+            masks.append(mask)
 
     def _possible_states(self, tree: Tree) -> frozenset:
         order = self._state_order

@@ -172,9 +172,8 @@ class CodegenValidator:
         else:
             rules = {label: tuple(rules) for label, rules in rules_by_label.items()}
             fold_source = _FOLD_MULTI_SOURCE
-        #: Leaf masks are per-label constants (the fold of the empty word);
-        #: filled in place below so the generated defaults see the updates.
-        self.leaf = {}
+        #: Leaf masks are per-label constants (the fold of the empty word).
+        self.leaf = dict(compiled._leaf_masks)
         namespace = {
             "rules": rules,
             "accepts": type(compiled)._horizontal_accepts,
@@ -187,10 +186,6 @@ class CodegenValidator:
         filename = f"<repro-codegen:{engine.fingerprint(compiled.uta)[:12]}>"
         exec(compile(self.source, filename, "exec"), namespace)  # noqa: S102
         self._fold_core = namespace["_fold_core"]
-        self.leaf.update(
-            {label: self._fold_core(label, ()) for label in rules_by_label}
-        )
-
         stats = self._stats
         tables, tables1 = self.tables, self.tables1
         fold_core = self._fold_core
@@ -236,26 +231,42 @@ class CodegenValidator:
         """BatchValidator-identical membership of one parsed document."""
         return bool(self._tree_mask(tree) & self.finals_mask)
 
-    def _tree_mask(self, node) -> int:
-        children = node.children
-        label = node.label
-        if not children:
-            try:
-                return self.leaf[label]
-            except KeyError:
-                return 0
-        tree_mask = self._tree_mask
-        if len(children) == 1:
-            child = tree_mask(children[0])
-            try:
-                return self.tables1[label][child]
-            except KeyError:
-                return self._fold1(label, child)
-        key = tuple([tree_mask(child) for child in children])
-        try:
-            return self.tables[label][key]
-        except KeyError:
-            return self._fold(label, key)
+    def _tree_mask(self, root) -> int:
+        """The fold of a :class:`Tree`, post-order on an explicit stack (any depth).
+
+        The open node's label, children, next child index and child masks
+        live in locals; descending into an inner child pushes them, and
+        leaf children fold inline.
+        """
+        leaf_get, tables, tables1 = self.leaf.get, self.tables, self.tables1
+        stack = []
+        label, children, masks, index = root.label, root.children, [], 0
+        while True:
+            while index < len(children):
+                child = children[index]
+                index += 1
+                if child.children:
+                    stack.append((label, children, masks, index))
+                    label, children, masks, index = child.label, child.children, [], 0
+                else:
+                    masks.append(leaf_get(child.label, 0))
+            if not masks:
+                mask = leaf_get(label, 0)
+            elif len(masks) == 1:
+                try:
+                    mask = tables1[label][masks[0]]
+                except KeyError:
+                    mask = self._fold1(label, masks[0])
+            else:
+                key = tuple(masks)
+                try:
+                    mask = tables[label][key]
+                except KeyError:
+                    mask = self._fold(label, key)
+            if not stack:
+                return mask
+            label, children, masks, index = stack.pop()
+            masks.append(mask)
 
     # ------------------------------------------------------------------ #
     # whole-payload (streaming surface) path

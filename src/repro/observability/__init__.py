@@ -10,7 +10,7 @@ Small, dependency-free subsystems every serving layer shares:
   ``Federation.scrape_all()`` uses for single-pane scraping;
 * :mod:`repro.observability.tracing` -- a bounded in-memory span/event
   recorder (:class:`TraceRecorder`) keyed by wire-propagated trace ids,
-  so one publication's lifecycle (queue wait, shard settle, ack push,
+  so one publication's lifecycle (queue wait, runtime publish, ack push,
   verdict flip) can be reconstructed even across process pods;
 * :mod:`repro.observability.logs` -- the prose twin of the trace ring: a
   bounded ring of leveled structured log events (:class:`LogRecorder`)

@@ -6,7 +6,7 @@ server-side component owns one :class:`TraceRecorder`: a bounded ring of
 compact event tuples.  Clients mint a trace id (:func:`new_trace_id`)
 and attach it to wire frames as the optional ``trace`` body field; every
 layer that sees the id appends events (``op``, ``queue.wait``,
-``shard.settle``, ``verdict.push``, ``verdict.flip``...) stamped with a
+``runtime.publish``, ``verdict.push``, ``verdict.flip``...) stamped with a
 wall-clock timestamp.  The ``trace`` wire op exports the ring, and the
 CLI / :meth:`Federation.trace` merge rings across processes -- on one
 host the wall clocks are directly comparable, which is the loopback

@@ -66,7 +66,7 @@ class ServiceMetrics:
         )
         self.inline_streamed = registry.counter_family(
             "repro_publish_inline_streamed_total",
-            "oversized publishes routed through the streaming ingest",
+            "oversized publishes settled outside the admission queue",
         )
         self.batches = registry.counter_family(
             "repro_batches_total", "admission-controller batches settled"
@@ -107,7 +107,7 @@ class ServiceMetrics:
         self.streams_reaped.labels().inc()
 
     def record_inline_stream(self) -> None:
-        """One oversized ``publish`` routed through the streaming ingest."""
+        """One oversized ``publish`` settled outside the admission queue."""
         self.inline_streamed.labels().inc()
 
     def record_batch(self, size: int, queue_depth: int, seconds: float) -> None:

@@ -7,13 +7,13 @@ requests in flight on one connection.  All automaton work happens on a
 thread-pool executor -- the event loop never blocks on validation.
 
 The **admission controller** is the piece that makes ``publish`` scale:
-concurrently-pending publications are coalesced into micro-batches, each
-batch is ingested through :meth:`ValidationRuntime.publish` (so the
-byte-level fingerprint fast path applies before any parsing) and settled
-by at most one validation round.  A batch of byte-identical
-re-publications therefore costs one digest per publication and *zero*
-validation rounds -- the verdict is re-derived from cached
-acknowledgements.
+concurrently-pending publications are coalesced into micro-batches that
+take one executor call, and each publication in a batch settles through
+:meth:`ValidationRuntime.publish`: the byte-level fingerprint fast path
+applies before any parsing, a changed payload is folded once, and the
+reply's verdict is re-derived from cached acknowledgements -- no
+validation round runs.  A byte-identical re-publication therefore costs
+one digest.
 
 Shutdown is graceful: the listener closes first, queued publications are
 drained through a final batch, every still-open connection receives a
@@ -45,6 +45,7 @@ from repro.observability.tracing import TraceRecorder
 from repro.schemas.dtd_text import parse_dtd_text
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
+from repro.streaming.machine import streaming_validator_for
 from repro.trees.document import Tree
 from repro.trees.term import parse_term
 from repro.trees.xml_io import tree_from_xml
@@ -62,7 +63,7 @@ DEFAULT_MAX_QUEUE_DEPTH = 1024
 DEFAULT_STREAM_TTL = 120.0
 
 #: Default payload size (bytes) at which a whole-frame ``publish`` is
-#: routed through the streaming ingest instead of the micro-batch queue.
+#: settled directly on the executor instead of through the micro-batch queue.
 DEFAULT_STREAM_INLINE_THRESHOLD = 1 << 20
 
 #: Default per-shard ceiling on concurrently-open wire streams.
@@ -1052,7 +1053,7 @@ class ValidationServer:
             self.stream_inline_threshold is not None
             and len(payload) >= self.stream_inline_threshold
         ):
-            return await self._publish_streamed(entry, function, payload, trace_id)
+            return await self._publish_inline(entry, function, payload, trace_id)
         future = asyncio.get_running_loop().create_future()
         return await self.admission.submit(
             _Publication(
@@ -1061,91 +1062,75 @@ class ValidationServer:
             )
         )
 
-    async def _publish_streamed(
+    async def _publish_inline(
         self,
         entry: RegisteredDesign,
         function: str,
         payload: bytes,
         trace_id: Optional[str] = None,
     ) -> dict:
-        """Settle one oversized ``publish`` through the streaming ingest.
+        """Settle one oversized ``publish`` outside the micro-batch queue.
 
-        Bypasses the micro-batch queue entirely: the payload is hashed and
-        DFA-stepped on the executor, fed as one chunk yet in O(depth)
-        memory (expat hands each element to the streaming run as it
-        parses; nothing per node is built), and settlement takes only the
-        runtime's internal state lock -- large documents neither occupy
-        the admission queue nor stall a batch behind a multi-second parse.
+        The payload takes the same :meth:`ValidationRuntime.publish` as a
+        queued one, on the executor under a stream slot instead of the
+        runtime lock -- large documents neither occupy the admission queue
+        nor stall a batch behind a long fold.  The fold needs O(depth)
+        memory on the interpreted backend (expat hands each element to the
+        streaming run as it parses; nothing per node is built).
         """
         shard = self._acquire_stream_slot(entry, function)
         try:
-
-            def settle():
-                ingest = entry.runtime.begin_stream(function)
-                ingest.feed(payload)
-                return entry.runtime.settle_stream(ingest, trace_id=trace_id)
-
-            try:
-                report, verdict = await self.run_in_executor(settle)
-            except ReproError as error:  # unknown function
-                raise OpError("unknown-function", str(error)) from None
+            reply = await self.run_in_executor(
+                self._settle_publication, entry, function, payload, trace_id
+            )
         finally:
             self._release_stream_slot(entry, shard)
         self.metrics.record_inline_stream()
+        return reply
+
+    def _settle_publication(
+        self,
+        entry: RegisteredDesign,
+        function: str,
+        payload: bytes,
+        trace_id: Optional[str],
+    ) -> dict:
+        """Publish one whole frame into its runtime and build the reply.
+
+        Runs on the executor.  The publication settles before this returns,
+        so the global verdict is read from cached acknowledgements -- no
+        validation round runs.
+        """
+        try:
+            report = entry.runtime.publish(function, payload, trace_id=trace_id)
+        except ReproError as error:
+            raise OpError("unknown-function", str(error)) from None
         if report.malformed:
             raise OpError("invalid-xml", f"payload for {function!r} is not XML")
         return {
             "design": entry.design_id,
             "clean": report.clean,
             "function": function,
-            "valid": verdict,
+            "valid": entry.runtime.current_verdict(),
             "peer_valid": report.valid,
             "peers_validated": 0 if report.clean else 1,
         }
 
     def execute_publications(self, batch: list[_Publication]) -> list[tuple[_Publication, object]]:
-        """Ingest one micro-batch and settle it with as few rounds as possible.
+        """Settle one micro-batch, one publication after the other.
 
-        Runs on the executor with :attr:`runtime_lock` held.  Per design:
-        every payload goes through the runtime's wire ingest (hash before
-        parse), then a single validation round settles all dirty peers at
-        once; if *every* publication was byte-identical to validated
-        content the round is skipped entirely and the verdict comes from
-        cached acknowledgements.  A function appearing twice in one batch
-        splits it into segments -- the runtime keeps only the latest
-        pending payload per function, so each occurrence must be settled
-        by its own round to get its own parse/verdict.
+        Runs on the executor with :attr:`runtime_lock` held.  Each payload
+        goes through the runtime's wire ingest (hash before parse), so a
+        byte-identical re-publication costs one digest, and every other
+        publication settles its own verdict before the next one starts.
         """
         settled: list[tuple[_Publication, object]] = []
-        by_design: dict[str, list[_Publication]] = {}
         for item in batch:
-            by_design.setdefault(item.design, []).append(item)
-        for design_id, group in by_design.items():
-            entry = self._designs.get(design_id)
+            entry = self._designs.get(item.design)
             if entry is None:
-                error = OpError("unknown-design", f"no design registered under {design_id!r}")
-                settled.extend((item, error) for item in group)
+                error = OpError("unknown-design", f"no design registered under {item.design!r}")
+                settled.append((item, error))
                 continue
-            segment: list[_Publication] = []
-            seen: set[str] = set()
-            for item in group:
-                if item.function in seen:
-                    self._settle_segment(entry, segment, settled)
-                    segment, seen = [], set()
-                segment.append(item)
-                seen.add(item.function)
-            self._settle_segment(entry, segment, settled)
-        return settled
-
-    def _settle_segment(
-        self,
-        entry: RegisteredDesign,
-        segment: list[_Publication],
-        settled: list[tuple[_Publication, object]],
-    ) -> None:
-        """Ingest one per-function-unique run of publications and settle it."""
-        admitted: list[tuple[_Publication, bool]] = []
-        for item in segment:
             if item.trace_id and item.enqueued:
                 self.tracer.record_flat(
                     item.trace_id,
@@ -1155,42 +1140,14 @@ class ValidationServer:
                     item.function,
                 )
             try:
-                clean = entry.runtime.publish(
-                    item.function, item.payload, trace_id=item.trace_id
+                reply = self._settle_publication(
+                    entry, item.function, item.payload, item.trace_id
                 )
-            except ReproError as error:
-                settled.append((item, OpError("unknown-function", str(error))))
-                continue
-            admitted.append((item, clean))
-        if not admitted:
-            return
-        verdict = entry.runtime.current_verdict()
-        parse_failures: frozenset[str] = frozenset()
-        validated = 0
-        if verdict is None:
-            report = entry.runtime.validate_locally()
-            verdict = report.valid
-            parse_failures = frozenset(report.parse_failures)
-            validated = report.peers_validated
-        acks = entry.runtime.peer_acks()
-        for item, clean in admitted:
-            if item.function in parse_failures:
-                message = f"payload for {item.function!r} is not XML or nests too deeply"
-                settled.append((item, OpError("invalid-xml", message)))
-                continue
-            settled.append(
-                (
-                    item,
-                    {
-                        "design": entry.design_id,
-                        "clean": clean,
-                        "function": item.function,
-                        "valid": verdict,
-                        "peer_valid": acks.get(item.function),
-                        "peers_validated": validated,
-                    },
-                )
-            )
+            except OpError as error:
+                settled.append((item, error))
+            else:
+                settled.append((item, reply))
+        return settled
 
     # ------------------------------------------------------------------ #
     # chunked streamed publication
@@ -1280,7 +1237,11 @@ class ValidationServer:
         }
 
     async def _validate(self, body: dict, blob: bytes) -> dict:
-        """Stateless validation of a payload against one peer's local type."""
+        """Stateless validation of a payload against one peer's local type.
+
+        The bytes take the same fold as a publication, so every depth gets
+        a verdict and malformed input is a typed ``invalid-xml``.
+        """
         entry = self.design(body["design"])
         function = body["function"]
         peer = entry.document.resources.get(function)
@@ -1289,17 +1250,14 @@ class ValidationServer:
         if peer.validator is None:  # pragma: no cover - registration always propagates
             raise OpError("bad-request", f"no local type propagated to {function!r}")
         payload = blob if blob else str(body.get("payload", "")).encode("utf-8")
+        machine = streaming_validator_for(peer.validator.compiled)
 
         def check() -> dict:
             try:
-                document = tree_from_xml(payload)
+                valid = machine.validate_payload(payload)
             except InvalidXMLError as error:
                 raise OpError("invalid-xml", f"payload for {function!r}: {error}") from None
-            return {
-                "design": entry.design_id,
-                "function": function,
-                "valid": peer.validator.validate(document),
-            }
+            return {"design": entry.design_id, "function": function, "valid": valid}
 
         # Read-only on a compiled validator: no runtime lock needed.
         return await self.run_in_executor(check)
@@ -1318,7 +1276,6 @@ class ValidationServer:
                 "messages": report.messages,
                 "bytes_shipped": report.bytes_shipped,
                 "wall_ms": report.wall_seconds * 1000.0,
-                "parse_failures": list(report.parse_failures),
             }
 
         async with self._hold_runtime_lock():

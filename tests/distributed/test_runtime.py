@@ -287,17 +287,21 @@ class TestIncrementalRevalidation:
             assert report.peers_validated == PEERS
             assert document.validate_locally().valid == report.valid
 
-    def test_failed_round_requeues_pending_publications(self):
+    def test_publication_before_typing_is_refused(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
         with ValidationRuntime(document, max_workers=4) as runtime:
-            # No typing propagated yet: the round must fail...
-            runtime.publish("f1", tree_to_xml(corrupt_document(workload.initial_documents["f1"])))
-            with pytest.raises(RuntimeError):
-                runtime.validate_locally()
-            # ...without losing the queued publication.
-            report = runtime.validate_locally(workload.typing)
-            assert not report.valid
+            digest = runtime.state_digest()
+            # No typing propagated yet: nothing to fold the payload against.
+            bad = tree_to_xml(corrupt_document(workload.initial_documents["f1"]))
+            with pytest.raises(DesignError, match="no local type"):
+                runtime.publish("f1", bad)
+            assert runtime.state_digest() == digest
+            assert runtime.stats.publications == 0
+            # Once typed, the same publication settles on the spot.
+            runtime.propagate_typing(workload.typing)
+            assert not runtime.publish("f1", bad).valid
+            assert runtime.validate_locally().valid is False
 
     def test_update_unknown_function_rejected(self):
         workload = build_workload()
@@ -323,13 +327,15 @@ class TestWirePublish:
             runtime.propagate_typing(workload.typing)
             payloads = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
             for function, payload in payloads.items():
-                assert not runtime.publish(function, payload)  # first sight: dirty
+                report = runtime.publish(function, payload)  # first sight: folded
+                assert (report.clean, report.valid, report.malformed) == (False, True, False)
+            assert runtime.stats.validations_run == PEERS
+            assert runtime.current_verdict() is True
             report = runtime.validate_locally()
-            assert report.valid and report.peers_validated == PEERS
+            assert report.valid and report.peers_validated == 0
             for function, payload in payloads.items():
-                assert runtime.publish(function, payload)  # clean drop
-            report = runtime.validate_locally()
-            assert report.peers_validated == 0
+                assert runtime.publish(function, payload).clean  # clean drop
+            assert runtime.stats.validations_run == PEERS
             assert runtime.stats.clean_publications == PEERS
 
     def test_changed_bytes_revalidate_only_that_peer(self):
@@ -339,12 +345,13 @@ class TestWirePublish:
             runtime.propagate_typing(workload.typing)
             for f, doc in workload.initial_documents.items():
                 runtime.publish(f, tree_to_xml(doc))
-            runtime.validate_locally()
+            before = runtime.stats.validations_run
             bad = corrupt_document(workload.initial_documents["f6"])
-            runtime.publish("f6", tree_to_xml(bad))
-            report = runtime.validate_locally()
-            assert not report.valid
-            assert report.peers_validated == 1
+            report = runtime.publish("f6", tree_to_xml(bad))
+            assert not report.clean and not report.valid
+            assert runtime.stats.validations_run - before == 1
+            assert runtime.current_verdict() is False
+            assert runtime.validate_locally().peers_validated == 0
 
     def test_malformed_payload_counts_as_invalid(self):
         workload = build_workload()
@@ -352,31 +359,31 @@ class TestWirePublish:
         with ValidationRuntime(document, max_workers=4) as runtime:
             runtime.validate_locally(workload.typing)
             kept = document.resources["f1"].document
-            runtime.publish("f1", "<root_f1><record></root_f1>")
-            report = runtime.validate_locally()
-            assert not report.valid
+            report = runtime.publish("f1", "<root_f1><record></root_f1>")
+            assert report.malformed and not report.valid
+            assert runtime.current_verdict() is False
             assert document.resources["f1"].document is kept
             # Re-publishing the same garbage is clean-skipped.
-            assert runtime.publish("f1", "<root_f1><record></root_f1>")
+            assert runtime.publish("f1", "<root_f1><record></root_f1>").clean
             assert runtime.validate_locally().peers_validated == 0
 
-    def test_too_deep_payload_keeps_the_previous_document(self):
+    def test_too_deep_payload_gets_the_streamed_verdict(self):
         depth = 5 * sys.getrecursionlimit()
         deep = "<root_f1>" + "<record>" * depth + "</record>" * depth + "</root_f1>"
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
         with ValidationRuntime(document, max_workers=4) as runtime:
             assert runtime.validate_locally(workload.typing).valid
-            kept = document.resources["f1"].document
-            runtime.publish("f1", deep)
-            report = runtime.validate_locally()
-            assert not report.valid and report.parse_failures == ("f1",)
-            assert document.resources["f1"].document is kept
-            # Later rounds are not poisoned: good content is validated again.
-            runtime.publish("f1", tree_to_xml(workload.initial_documents["f1"]) + " ")
-            report = runtime.validate_locally()
-            assert report.valid and report.parse_failures == ()
-            assert report.peers_validated == 1
+            report = runtime.publish("f1", deep)
+            assert (report.clean, report.valid, report.malformed) == (False, False, False)
+            streamed = runtime.publish_stream("f1", deep, chunk_bytes=3)
+            assert (streamed.clean, streamed.valid) == (True, report.valid)
+            # Later publications are not poisoned: good content validates again.
+            before = runtime.stats.validations_run
+            report = runtime.publish("f1", tree_to_xml(workload.initial_documents["f1"]) + " ")
+            assert report.valid and not report.clean
+            assert runtime.stats.validations_run - before == 1
+            assert runtime.validate_locally().valid
 
     def test_publish_unknown_function_rejected(self):
         workload = build_workload()

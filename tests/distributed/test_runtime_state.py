@@ -46,9 +46,8 @@ def test_export_state_shape_and_digest_stability():
     with build_runtime(workload) as runtime:
         publish_all(runtime, workload)
         state = runtime.export_state()
-        assert set(state) == {"acks", "validated_fp", "current_fp", "pending"}
+        assert set(state) == {"acks", "validated_fp", "current_fp"}
         assert set(state["acks"]) == set(workload.initial_documents)
-        assert state["pending"] == []
         # The digest is a pure function of the exported state.
         assert runtime.state_digest() == state_digest_of(state)
         assert runtime.state_digest() == runtime.state_digest()
@@ -76,15 +75,18 @@ def test_disjoint_exports_merge_into_the_whole():
     assert state_digest_of(merged) == expected
 
 
-def test_merge_unions_pending_payloads():
+def test_merge_unions_every_key():
     merged = merge_states(
         [
-            {"acks": {"f1": True}, "validated_fp": {}, "current_fp": {}, "pending": ["f1"]},
-            {"acks": {"f2": False}, "validated_fp": {}, "current_fp": {}, "pending": ["f2", "f1"]},
+            {"acks": {"f1": True}, "validated_fp": {"f1": "a"}, "current_fp": {"f1": "a"}},
+            {"acks": {"f2": False}, "validated_fp": {"f2": "b"}, "current_fp": {"f2": "c"}},
         ]
     )
-    assert merged["acks"] == {"f1": True, "f2": False}
-    assert merged["pending"] == ["f1", "f2"]
+    assert merged == {
+        "acks": {"f1": True, "f2": False},
+        "validated_fp": {"f1": "a", "f2": "b"},
+        "current_fp": {"f1": "a", "f2": "c"},
+    }
 
 
 def test_propagate_typing_bumps_version_and_clears_state():

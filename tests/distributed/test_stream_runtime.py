@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.typing import TreeTyping, default_root_name
 from repro.distributed.network import DistributedDocument
-from repro.distributed.peer import StreamedDocument
+from repro.distributed.peer import PublishedDocument
 from repro.distributed.runtime import ValidationRuntime, WorkloadDriver
 from repro.errors import DesignError
+from repro.schemas.dtd import DTD
 from repro.trees.xml_io import tree_to_xml
 from repro.workloads.synthetic import corrupt_document, distributed_workload
 
@@ -53,13 +55,13 @@ class TestPublishStream:
         function = next(iter(workload.initial_documents))
         payload = payload_of(workload, function)
         runtime.publish_stream(function, payload)
-        # The tree path sees the same wire digest: clean, dropped unparsed.
-        assert runtime.publish(function, payload) is True
-        # And the other direction: a parsed-and-validated tree publication
-        # makes the next identical *stream* clean.
+        # The whole-frame path sees the same wire digest: clean, unparsed.
+        assert runtime.publish(function, payload).clean is True
+        # And the other direction: a whole-frame publication makes the
+        # next identical *stream* clean.
         other = sorted(workload.initial_documents)[1]
         other_payload = payload_of(workload, other)
-        assert runtime.publish(other, other_payload) is False
+        assert runtime.publish(other, other_payload).clean is False
         assert runtime.validate_locally().valid is True
         report = runtime.publish_stream(other, other_payload)
         assert report.clean
@@ -69,8 +71,9 @@ class TestPublishStream:
         payload = payload_of(workload, function)
         report = runtime.publish_stream(function, payload)
         peer = runtime.document.resources[function]
-        assert isinstance(peer.document, StreamedDocument)
+        assert isinstance(peer.document, PublishedDocument)
         assert peer.document.ack is True
+        assert peer.document.payload == payload
         assert peer.document.payload_bytes == len(payload)
         assert peer.document_size() == len(payload)
         assert peer.document.fingerprint == report.fingerprint
@@ -102,30 +105,9 @@ class TestPublishStream:
         again = runtime.publish_stream(function, b"<s_f1><recor", chunk_bytes=5)
         assert again.clean and again.valid is False
 
-    def test_streamed_peer_poisoned_by_typing_change(self, workload, runtime):
-        function = next(iter(workload.initial_documents))
-        runtime.publish_stream(function, payload_of(workload, function))
-        runtime.propagate_typing(workload.typing)
-        with pytest.raises(DesignError, match="re-publish"):
-            runtime.validate_locally()
-        # Re-publishing heals the peer.
-        report = runtime.publish_stream(function, payload_of(workload, function))
-        assert report.valid is True
-
     def test_unknown_function_raises(self, runtime):
         with pytest.raises(DesignError):
             runtime.begin_stream("nope")
-
-    def test_streamed_peer_cannot_be_materialised(self, workload, runtime):
-        """The centralized strategy needs trees; streamed peers say so, typed."""
-        function = next(iter(workload.initial_documents))
-        runtime.publish_stream(function, payload_of(workload, function))
-        peer = runtime.document.resources[function]
-        assert "streamed" in peer.describe()
-        with pytest.raises(DesignError, match="re-publish"):
-            peer.answer()
-        with pytest.raises(DesignError, match="re-publish"):
-            runtime.document.validate_centralized(workload.global_type)
 
     def test_ingest_cannot_be_reused(self, workload, runtime):
         function = next(iter(workload.initial_documents))
@@ -147,6 +129,78 @@ class TestPublishStream:
         runtime.publish_stream(function, payload)
         after_clean, _ = runtime.network.snapshot()
         assert after_clean == after_first
+
+
+def flipped_typing(workload) -> TreeTyping:
+    """A typing change that flips every verdict of :func:`published_trees`.
+
+    The root now requires one trailing ``__corrupt__`` leaf: corrupted
+    documents turn valid, intact ones invalid.
+    """
+    rules = {
+        "record": "key, (field | group)*, stamp?",
+        "group": "(field, field) | note",
+        "field": "value?",
+    }
+    return TreeTyping(
+        {
+            function: DTD(
+                default_root_name(function),
+                {default_root_name(function): "record*, __corrupt__", **rules},
+            )
+            for function in workload.typing
+        }
+    )
+
+
+def published_trees(workload):
+    """Half the peers publish a corrupted document, the rest their own."""
+    return {
+        function: corrupt_document(document) if index % 2 else document
+        for index, (function, document) in enumerate(sorted(workload.initial_documents.items()))
+    }
+
+
+def publish_all(runtime, trees, route):
+    for function, tree in trees.items():
+        payload = tree_to_xml(tree).encode("utf-8")
+        if route == "whole":
+            runtime.publish(function, payload)
+        else:
+            runtime.publish_stream(function, payload, chunk_bytes=3)
+
+
+@pytest.mark.parametrize("route", ["whole", "chunked"])
+class TestRetainedPayloads:
+    """Published bytes stay with the peer: typing changes and materialisation use them."""
+
+    def test_typing_change_refolds_the_retained_bytes(self, workload, runtime, route):
+        trees = published_trees(workload)
+        publish_all(runtime, trees, route)
+        oracle = DistributedDocument(workload.kernel, trees)
+        assert runtime.current_verdict() is oracle.validate_locally(workload.typing).valid
+        flipped = flipped_typing(workload)
+        before = runtime.stats.validations_run
+        report = runtime.validate_locally(flipped)
+        expected = oracle.validate_locally(flipped)
+        assert report.valid is expected.valid
+        assert report.peers_validated == len(trees)
+        assert runtime.stats.validations_run - before == len(trees)
+        assert runtime.peer_acks() == {
+            function: peer.validate_locally() for function, peer in oracle.resources.items()
+        }
+        assert set(runtime.peer_acks().values()) == {True, False}
+
+    def test_validate_centralized_parses_the_published_peers(self, workload, runtime, route):
+        trees = published_trees(workload)
+        publish_all(runtime, trees, route)
+        peer = runtime.document.resources[next(iter(trees))]
+        assert isinstance(peer.document, PublishedDocument)
+        assert "published" in peer.describe()
+        oracle = DistributedDocument(workload.kernel, trees)
+        assert runtime.document.validate_centralized(
+            workload.global_type
+        ) == oracle.validate_centralized(workload.global_type)
 
 
 class TestDriverStreamStrategy:

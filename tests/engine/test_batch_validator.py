@@ -7,11 +7,16 @@ byte-identical" acceptance checks for the distributed and API layers.
 
 from __future__ import annotations
 
+import sys
+
+import pytest
+
 from repro.api import analyze_design, bottom_up_design, dtd, edtd, kernel, top_down_design, tree
 from repro.core.existence import find_perfect_typing
 from repro.distributed.network import DistributedDocument
 from repro.engine.batch import BatchValidator
 from repro.engine.compilation import CompilationEngine, use_engine
+from repro.trees.xml_io import tree_from_xml
 from repro.workloads import eurostat
 
 
@@ -41,6 +46,17 @@ def test_batch_validator_matches_uncached_validate_edtd():
     documents = [tree("s(x(y y) x)"), tree("s(x x)"), tree("s(x)"), tree("s(x(y) x(y))")]
     validator = BatchValidator(schema, engine=CompilationEngine())
     assert validator.validate_many(documents) == [schema.validate(d) for d in documents]
+
+
+@pytest.mark.parametrize("backend", ["python", "codegen"])
+def test_documents_deeper_than_the_recursion_limit_fold(backend):
+    depth = 5 * sys.getrecursionlimit()
+    schema = dtd("s", {"s": "a", "a": "a?, b?"})
+    validator = BatchValidator(schema, engine=CompilationEngine(), backend=backend)
+    valid = tree_from_xml("<s>" + "<a>" * depth + "</a>" * depth + "</s>")
+    invalid = tree_from_xml("<s>" + "<a>" * depth + "<c/>" + "</a>" * depth + "</s>")
+    late = tree_from_xml("<s>" + "<a>" * depth + "</a>" * depth + "<b/></s>")
+    assert validator.validate_many([valid, invalid, late]) == [True, False, False]
 
 
 def test_validate_many_and_report():

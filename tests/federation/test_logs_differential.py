@@ -2,7 +2,7 @@
 
 The acceptance gate for structured logging: the trace id a caller mints
 must label every log line the publication provokes -- pod admission,
-runtime queue, shard settle, verdict push, directory record -- so that
+runtime settle, verdict push, directory record -- so that
 ``Federation.logs(tid)`` tells one readable story, and interleaving it
 with ``Federation.trace(tid)`` yields a single consistent timeline, even
 when the members are separate OS processes.
@@ -75,13 +75,13 @@ def test_logs_and_trace_interleave_by_trace_id(workload, spawn):
     assert "directory" in components, components
 
     messages = [event["msg"] for event in logs]
-    assert "publication queued for validation" in messages
+    assert "publication settled" in messages
     assert "verdict pushed to directory" in messages
     assert "verdict recorded" in messages
-    # Causality survives the merge: the publication was queued on the pod
+    # Causality survives the merge: the publication settled on the pod
     # before the directory could record its verdict.  (The pod's own
     # "pushed" line lands after the round-trip, so it trails the record.)
-    assert messages.index("publication queued for validation") < messages.index(
+    assert messages.index("publication settled") < messages.index(
         "verdict recorded"
     )
 

@@ -2,7 +2,7 @@
 
 The acceptance gate for end-to-end tracing: a trace id minted by the
 caller must ride every wire frame a publication triggers -- pod op,
-runtime publish, shard settle, verdict push to the directory -- so that
+runtime publish, verdict push to the directory -- so that
 ``Federation.trace(tid)`` can stitch the full story back together from
 the per-member rings, across real OS process boundaries.
 """

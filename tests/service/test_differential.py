@@ -9,15 +9,17 @@ change *when* work happens, never what it concludes.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.distributed.network import DistributedDocument
 from repro.distributed.runtime import ValidationRuntime
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.loadgen import run_load
 from repro.service.server import ServiceHandle, ValidationServer
 from repro.trees.xml_io import tree_to_xml
-from repro.workloads.synthetic import distributed_workload
+from repro.workloads.synthetic import corrupt_document, distributed_workload
 
 
 def build_workload(seed: int, invalid_rate: float):
@@ -106,3 +108,67 @@ def test_loadgen_open_loop_smoke():
     assert report.errors == 0
     assert report.final_valid is True
     assert report.p50_ms <= report.p99_ms <= report.max_ms
+
+
+def ingest_payloads(workload) -> dict[str, str]:
+    """One payload per answer class a wire publication can get."""
+    document = workload.initial_documents["f1"]
+    valid = tree_to_xml(document)
+    # Deeper than a recursive fold could reach, yet few enough bytes that
+    # the 3-byte-chunk stream stays a quick test.
+    depth = sys.getrecursionlimit() + 50
+    return {
+        "valid": valid,
+        "schema-invalid": tree_to_xml(corrupt_document(document)),
+        "malformed": "<root_f1><record></root_f1>",
+        "truncated": valid[: len(valid) // 2],
+        "deep": "<root_f1>" + "<record>" * depth + "</record>" * depth + "</root_f1>",
+    }
+
+
+def answer_of(call) -> object:
+    """A route's answer: the peer verdict, or the typed error code."""
+    try:
+        result = call()
+    except ServiceError as error:
+        return error.code
+    return result["peer_valid"] if "peer_valid" in result else result["valid"]
+
+
+#: route -> (server options, how one payload is ingested on it).
+INGEST_ROUTES = {
+    "publish": ({}, lambda client, payload: client.publish("d", "f1", payload)),
+    "publish-inline": (
+        {"stream_inline_threshold": 1},
+        lambda client, payload: client.publish("d", "f1", payload),
+    ),
+    "publish_stream": (
+        {},
+        lambda client, payload: client.publish_stream("d", "f1", payload, chunk_bytes=3),
+    ),
+    "validate": ({}, lambda client, payload: client.validate("d", "f1", payload)),
+}
+
+
+@pytest.mark.parametrize("backend", ["python", "codegen"])
+def test_every_ingest_route_gives_the_same_answer(backend):
+    workload = build_workload(seed=5, invalid_rate=0.0)
+    payloads = ingest_payloads(workload)
+    answers = {}
+    for route, (options, ingest) in INGEST_ROUTES.items():
+        server = ValidationServer(runtime_workers=2, validation_backend=backend, **options)
+        server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
+        with ServiceHandle(server).start() as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                answers[route] = {
+                    name: answer_of(lambda: ingest(client, payload))
+                    for name, payload in payloads.items()
+                }
+    expected = {
+        "valid": True,
+        "schema-invalid": False,
+        "malformed": "invalid-xml",
+        "truncated": "invalid-xml",
+        "deep": False,
+    }
+    assert answers == {route: expected for route in INGEST_ROUTES}

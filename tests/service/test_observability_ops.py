@@ -68,7 +68,7 @@ class TestLogsOp:
         result = client.logs(trace_id="trace-9")
         assert result["component"] == "server"
         messages = [event["msg"] for event in result["events"]]
-        assert "publication queued for validation" in messages
+        assert "publication settled" in messages
         assert "op completed" in messages
         assert all(event["trace"] == "trace-9" for event in result["events"])
 

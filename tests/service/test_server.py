@@ -127,6 +127,15 @@ class TestRegistration:
             )
         assert excinfo.value.code == "bad-request"
 
+    def test_deep_initial_document_registers_with_a_verdict(self, client, workload):
+        depth = 5 * sys.getrecursionlimit()
+        deep = "<root_f1>" + "<record>" * depth + "</record>" * depth + "</root_f1>"
+        result = client.register_design(
+            "deep", "s0(f1)", {"f1": workload.typing["f1"]}, {"f1": deep}
+        )
+        assert result["design"] == "deep" and result["valid"] is False
+        assert client.revalidate("deep", force=True)["valid"] is False
+
     def test_unparseable_initial_document_is_typed(self, client, workload):
         with pytest.raises(ServiceError) as excinfo:
             client.register_design(
@@ -169,12 +178,14 @@ class TestPublish:
         assert client.ping()["pong"] is True
         assert client.revalidate("d")["valid"] is False  # f1's ack is now False
 
-    def test_too_deep_payload_is_typed_and_later_rounds_survive(self, client, workload):
+    def test_too_deep_payload_gets_the_streamed_verdict(self, client, workload):
         depth = 5 * sys.getrecursionlimit()
         deep = "<root_f1>" + "<record>" * depth + "</record>" * depth + "</root_f1>"
-        with pytest.raises(ServiceError) as excinfo:
-            client.publish("d", "f1", deep)
-        assert excinfo.value.code == "invalid-xml"
+        result = client.publish("d", "f1", deep)
+        assert (result["clean"], result["peer_valid"], result["valid"]) == (False, False, False)
+        assert result["peers_validated"] == 1
+        streamed = client.publish_stream("d", "f1", deep, chunk_bytes=4096)
+        assert streamed["clean"] is True and streamed["peer_valid"] is result["peer_valid"]
         result = client.publish("d", "f1", payload_of(workload, "f1") + " ")
         assert result["peer_valid"] is True and result["valid"] is True
 
@@ -194,9 +205,9 @@ class TestPublish:
 
     def test_same_function_twice_in_one_batch_gets_two_verdicts(self, workload):
         # A batch window wide enough that both pipelined publications for
-        # f1 land in one micro-batch: the batch must split so the earlier
-        # (malformed) payload is parsed and answered on its own, not
-        # silently overwritten by the later one.
+        # f1 land in one micro-batch: each settles before the next, so the
+        # earlier (malformed) payload is answered on its own, not silently
+        # overwritten by the later one.
         server = ValidationServer(runtime_workers=2, batch_window=0.05)
         server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
         with ServiceHandle(server).start() as handle:
@@ -225,6 +236,12 @@ class TestValidateAndRevalidate:
         assert client.validate("d", "f1", bad)["valid"] is False
         # Stateless: the design's verdict is untouched.
         assert client.revalidate("d")["valid"] is True
+
+    def test_validate_answers_deep_payloads_like_publish_stream(self, client):
+        depth = 5 * sys.getrecursionlimit()
+        deep = "<root_f1>" + "<record>" * depth + "</record>" * depth + "</root_f1>"
+        streamed = client.publish_stream("d", "f1", deep, chunk_bytes=4096)
+        assert client.validate("d", "f1", deep)["valid"] is streamed["peer_valid"] is False
 
     def test_validate_invalid_xml_is_typed(self, client):
         with pytest.raises(ServiceError) as excinfo:

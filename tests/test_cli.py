@@ -505,7 +505,7 @@ class TestObservabilityCLI:
         exit_code = main(["logs", f"{handle.host}:{handle.port}", "--id", "cli-trace"])
         out = capsys.readouterr().out
         assert exit_code == 0
-        assert "publication queued for validation" in out
+        assert "publication settled" in out
         assert "[server" in out
 
     def test_logs_json_and_empty_trace_is_nonzero(self, live_server, capsys):
