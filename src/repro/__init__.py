@@ -36,12 +36,10 @@ _API_EXPORTS = (
     "edtd",
     "get_default_engine",
     "kernel",
-    "run_distributed_workload",
-    "serve_design",
+    "new_trace_id",
     "top_down_design",
     "tree",
     "use_engine",
-    "validate_stream",
     "ServiceHandle",
     "StreamingValidator",
     "ValidationRuntime",

@@ -13,7 +13,6 @@ True
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -42,8 +41,7 @@ from repro.engine import (
     use_engine,
 )
 from repro.federation import Federation
-from repro.observability.logs import LogRecorder
-from repro.observability.tracing import TraceRecorder, new_trace_id
+from repro.observability.events import EventLog, new_trace_id
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceHandle, ValidationServer
 from repro.streaming import StreamingValidator, streaming_validator_for
@@ -67,9 +65,6 @@ __all__ = [
     "ExecutionConfig",
     "MODES",
     "analyze_design",
-    "run_distributed_workload",
-    "serve_design",
-    "validate_stream",
     "BatchValidator",
     "CompilationEngine",
     "Federation",
@@ -234,8 +229,8 @@ class ExecutionConfig:
       (:class:`~repro.federation.Federation`), each owning a shard of the
       design's functions.
 
-    ``backend`` selects the validation backend (``python`` / ``codegen``
-    / ``numpy``); ``workers``/``shards`` size the runtime; ``pods`` and
+    ``backend`` selects the validation backend (``python`` /
+    ``codegen``); ``workers``/``shards`` size the runtime; ``pods`` and
     ``spawn`` (``"thread"`` or ``"process"``) shape the federation; and
     ``server_options`` passes the service tier's overload knobs through
     (``max_queue_depth``, ``rate_limit``, ``stream_ttl``, ...).
@@ -289,11 +284,10 @@ def _payload_bytes(payload) -> bytes:
 class DesignSession:
     """One design, published to and validated through a chosen substrate.
 
-    The single entry point that used to be spread over ``serve_design``,
-    ``run_distributed_workload`` and ``validate_stream``: build a session
-    from the design's ingredients (kernel, typing, seed documents) and an
-    :class:`ExecutionConfig`, then drive it with the same four verbs
-    regardless of where validation actually runs:
+    The single entry point of the library's execution substrates: build a
+    session from the design's ingredients (kernel, typing, seed documents)
+    and an :class:`ExecutionConfig`, then drive it with the same four
+    verbs regardless of where validation actually runs:
 
     * :meth:`publish` -- one wire publication (XML text/bytes), answering
       the design's global verdict after it settles;
@@ -336,8 +330,7 @@ class DesignSession:
             function: tree(document) for function, document in documents.items()
         }
         self._closed = False
-        self._tracer: Optional[TraceRecorder] = None
-        self._logger: Optional[LogRecorder] = None
+        self._events: Optional[EventLog] = None
         self._document: Optional[DistributedDocument] = None
         self._runtime: Optional[ValidationRuntime] = None
         self._handle: Optional[ServiceHandle] = None
@@ -347,15 +340,13 @@ class DesignSession:
             self._document = DistributedDocument(self.kernel, dict(self.documents))
             self._document.propagate_typing(self.typing)
         elif config.mode == "runtime":
-            self._tracer = TraceRecorder(component="runtime")
-            self._logger = LogRecorder(component="runtime")
+            self._events = EventLog(component="runtime")
             self._runtime = ValidationRuntime(
                 DistributedDocument(self.kernel, dict(self.documents)),
                 max_workers=config.workers,
                 shards=config.shards,
                 validation_backend=config.backend,
-                tracer=self._tracer,
-                logger=self._logger,
+                events=self._events,
             )
             self._runtime.propagate_typing(self.typing)
         elif config.mode == "service":
@@ -425,8 +416,8 @@ class DesignSession:
         """Publish one document and answer the global verdict after it settles.
 
         ``trace_id`` (mint one with :func:`repro.new_trace_id`) stamps the
-        publication's lifecycle events into the substrate's trace ring;
-        read them back with :meth:`trace`.
+        publication's lifecycle events in the substrate's event ring;
+        read them back with :meth:`trace` and :meth:`logs`.
         """
         self._ensure_open()
         if self._document is not None:
@@ -493,12 +484,13 @@ class DesignSession:
         """The substrate's recorded trace events (optionally one trace's).
 
         Serial mode records nothing; runtime mode reads the in-process
-        ring; service mode pulls the server's ring over the ``trace`` wire
-        op; federation mode merges every member's ring by timestamp.
+        ring's trace view; service mode pulls the server's over the
+        ``trace`` wire op; federation mode merges every member's by
+        timestamp.
         """
         self._ensure_open()
-        if self._tracer is not None:
-            return self._tracer.export(trace_id, limit)
+        if self._events is not None:
+            return self._events.trace(trace_id, limit)
         if self._client is not None:
             return self._client.trace(trace_id, limit=limit)["events"]
         if self._federation is not None:
@@ -511,15 +503,15 @@ class DesignSession:
         limit: Optional[int] = None,
         level: Optional[str] = None,
     ) -> list:
-        """The substrate's structured log events (the prose twin of trace).
+        """The substrate's structured log events (the ring's prose view).
 
-        Serial mode records nothing; runtime mode reads the in-process log
-        ring; service mode pulls the server's ring over the ``logs`` wire
-        op; federation mode merges every member's ring by timestamp.
+        Serial mode records nothing; runtime mode reads the in-process
+        ring's log view; service mode pulls the server's over the ``logs``
+        wire op; federation mode merges every member's by timestamp.
         """
         self._ensure_open()
-        if self._logger is not None:
-            return self._logger.export(trace_id, limit, level)
+        if self._events is not None:
+            return self._events.logs(trace_id, limit, level)
         if self._client is not None:
             return self._client.logs(trace_id, limit=limit, level=level)["events"]
         if self._federation is not None:
@@ -588,7 +580,7 @@ class DesignSession:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # the bodies of the deprecated module-level entry points
+    # substrates without a session
     # ------------------------------------------------------------------ #
 
     @staticmethod
@@ -603,10 +595,14 @@ class DesignSession:
     ) -> ServiceHandle:
         """Boot a :class:`~repro.service.server.ValidationServer` for a design.
 
-        What :func:`serve_design` used to do: register the design (typing
-        propagated, seed documents validated), start the server on its own
-        thread and hand back the live
-        :class:`~repro.service.server.ServiceHandle`.
+        Register the design (typing propagated, seed documents validated),
+        start the server on its own thread and hand back the live
+        :class:`~repro.service.server.ServiceHandle`, which exposes the
+        bound ``host``/``port`` and shuts the service down gracefully on
+        ``close()`` (or as a context manager).  ``server_options`` pass
+        through to :class:`~repro.service.server.ValidationServer`
+        (``max_frame_bytes``, ``max_batch``, ``runtime_workers``,
+        ``validation_backend``, ``max_queue_depth``, ``rate_limit``, ...).
         """
         if not isinstance(typing, TreeTyping):
             typing = TreeTyping(typing)
@@ -632,12 +628,17 @@ class DesignSession:
     ) -> WorkloadReport:
         """Replay a synthetic workload and compare execution strategies.
 
-        What :func:`run_distributed_workload` used to do: build a
-        :func:`~repro.workloads.synthetic.distributed_workload` of
+        Build a :func:`~repro.workloads.synthetic.distributed_workload` of
         ``documents`` publications over ``peers`` peers and replay it
         through the requested ``strategies`` (any of ``"serial"``,
         ``"runtime"``, ``"centralized"``) with a
-        :class:`~repro.distributed.runtime.WorkloadDriver`.
+        :class:`~repro.distributed.runtime.WorkloadDriver`.  The report
+        carries wall-clock, throughput, messages and bytes shipped per
+        strategy -- what the ``repro-design distributed`` CLI prints.
+        ``validation_backend`` selects how the runtime strategies validate
+        while ``backend`` names the scheduler; the ``serial`` strategy
+        always uses the interpreted kernel, so the report's
+        ``verdicts_agree`` doubles as a cross-backend differential.
 
         >>> report = DesignSession.run_workload(peers=4, documents=12, workers=2)
         >>> report.verdicts_agree
@@ -670,11 +671,12 @@ class DesignSession:
     ) -> bool:
         """Validate serialised XML against a schema without building a tree.
 
-        What :func:`validate_stream` used to do: the event-driven twin of
-        ``BatchValidator(schema).validate(tree)``; ``payload`` may be a
-        whole document (``str``/``bytes``) or any iterable of chunks, and
-        the verdict matches the tree-based path for every schema kind
-        while working memory stays O(document depth).
+        The event-driven twin of ``BatchValidator(schema).validate(tree)``:
+        ``payload`` may be a whole document (``str``/``bytes``) or any
+        iterable of chunks, and the verdict matches the tree-based path for
+        every schema kind while working memory stays O(document depth) on
+        the ``python`` backend.  Malformed input raises
+        :class:`~repro.errors.InvalidXMLError`.
 
         >>> from repro import dtd
         >>> DesignSession.stream_validate(dtd("r", {"r": "a*"}), "<r><a/></r>")
@@ -684,139 +686,6 @@ class DesignSession:
         if isinstance(payload, (str, bytes)):
             return validator.validate_payload(payload, chunk_bytes)
         return validator.validate_chunks(payload)
-
-
-def run_distributed_workload(
-    peers: int = 8,
-    documents: int = 64,
-    workers: int = 4,
-    shards: Optional[int] = None,
-    seed: int = 0,
-    invalid_rate: float = 0.05,
-    records: int = 12,
-    fields: int = 6,
-    strategies: tuple[str, ...] = ("serial", "runtime"),
-    backend: str = "thread",
-    validation_backend: Optional[str] = None,
-) -> WorkloadReport:
-    """Replay a synthetic distributed-validation workload and compare strategies.
-
-    Builds a :func:`~repro.workloads.synthetic.distributed_workload` of
-    ``documents`` publications over ``peers`` peers and replays it through
-    the requested ``strategies`` (any of ``"serial"``, ``"runtime"``,
-    ``"centralized"``) with a :class:`~repro.distributed.runtime.WorkloadDriver`.
-    The report carries wall-clock, throughput, messages and bytes shipped
-    per strategy -- what the ``repro-design distributed`` CLI prints.
-    ``validation_backend`` selects how the runtime strategies validate
-    (``python`` / ``codegen`` / ``numpy``; see
-    :mod:`repro.engine.backends`), while ``backend`` names the scheduler;
-    the ``serial`` strategy always uses the interpreted kernel, so the
-    report's ``verdicts_agree`` doubles as a cross-backend differential.
-
-    .. deprecated::
-        Use :meth:`DesignSession.run_workload` (same signature, same
-        report); this wrapper only adds a :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "run_distributed_workload() is deprecated; use repro.DesignSession.run_workload()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DesignSession.run_workload(
-        peers=peers,
-        documents=documents,
-        workers=workers,
-        shards=shards,
-        seed=seed,
-        invalid_rate=invalid_rate,
-        records=records,
-        fields=fields,
-        strategies=strategies,
-        backend=backend,
-        validation_backend=validation_backend,
-    )
-
-
-def validate_stream(
-    schema: SchemaType,
-    payload,
-    engine: Optional[CompilationEngine] = None,
-    chunk_bytes: int = 65536,
-    backend: Optional[str] = None,
-) -> bool:
-    """Validate serialised XML against a schema without materialising a tree.
-
-    The event-driven twin of ``BatchValidator(schema).validate(tree)``:
-    ``payload`` may be a whole document (``str``/``bytes``) or any iterable
-    of chunks, and the verdict is identical to the tree-based path for
-    every schema kind (DTD / SDTD / EDTD) while working memory stays
-    O(document depth) -- deep or wide documents never build per-node
-    structure.  Malformed input raises
-    :class:`~repro.errors.InvalidXMLError`.
-
-    ``backend`` selects the validation backend (``python`` / ``codegen``
-    / ``numpy``; see :mod:`repro.engine.backends`).  Verdicts and error
-    classification are identical across backends; note the non-``python``
-    backends trade the O(depth) memory bound for speed (the parser's
-    element tree is materialised per document).
-
-    .. deprecated::
-        Use :meth:`DesignSession.stream_validate` (same signature, same
-        verdict); this wrapper only adds a :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "validate_stream() is deprecated; use repro.DesignSession.stream_validate()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DesignSession.stream_validate(
-        schema, payload, engine=engine, chunk_bytes=chunk_bytes, backend=backend
-    )
-
-
-def serve_design(
-    kernel_document: Union[KernelTree, str, Tree],
-    typing: Union[TreeTyping, Mapping[str, SchemaType]],
-    documents: Mapping[str, Tree],
-    design_id: str = "default",
-    host: str = "127.0.0.1",
-    port: int = 0,
-    **server_options,
-) -> ServiceHandle:
-    """Serve a design over TCP: validation-as-a-service on a live socket.
-
-    Builds a :class:`~repro.service.server.ValidationServer`, registers the
-    design (typing propagated, seed documents validated) and starts the
-    server on its own thread.  The returned
-    :class:`~repro.service.server.ServiceHandle` exposes the bound
-    ``host``/``port`` and shuts the service down gracefully on ``close()``
-    (or when used as a context manager).  Additional ``server_options``
-    are passed to the server (``max_frame_bytes``, ``max_batch``,
-    ``batch_window``, ``runtime_workers``, ``runtime_shards``,
-    ``validation_backend``, plus the overload tier: ``max_queue_depth``,
-    ``rate_limit``, ``rate_burst``, ``stream_ttl``,
-    ``stream_inline_threshold``, ``max_streams_per_shard``).
-
-    .. deprecated::
-        Use :meth:`DesignSession.serve` (same signature, same handle) or a
-        ``DesignSession(..., mode="service")``; this wrapper only adds a
-        :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "serve_design() is deprecated; use repro.DesignSession.serve() or "
-        "DesignSession(..., mode='service')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DesignSession.serve(
-        kernel_document,
-        typing,
-        documents,
-        design_id=design_id,
-        host=host,
-        port=port,
-        **server_options,
-    )
 
 
 def analyze_design(

@@ -5,9 +5,9 @@ adds an explicit sink state when a total function is required (e.g. before
 complementation).  :meth:`DFA.minimized` routes through Hopcroft's
 partition refinement in :mod:`repro.automata.kernel`, which is what the
 one-unambiguity test of :mod:`repro.automata.determinism` and the size
-accounting of Table 2 rely on; :meth:`DFA.minimized_moore` and
-:meth:`DFA.from_nfa_legacy` keep the original Moore/frozenset
-implementations as differential-testing oracles.
+accounting of Table 2 rely on.  The original Moore/frozenset
+implementations live on as differential-testing oracles in
+``tests/oracles/automata.py``.
 """
 
 from __future__ import annotations
@@ -66,32 +66,12 @@ class DFA:
 
         Routed through the bitset kernel
         (:func:`repro.automata.kernel.determinize_nfa`); the result is
-        state-for-state identical to :meth:`from_nfa_legacy`, which remains
-        the differential-testing oracle.
+        state-for-state identical to the original frozenset construction
+        kept as a differential-testing oracle in ``tests/oracles/``.
         """
         from repro.automata.kernel.determinize import determinize_nfa
 
         return determinize_nfa(nfa)
-
-    @classmethod
-    def from_nfa_legacy(cls, nfa: NFA) -> "DFA":
-        """The original frozenset-of-frozensets subset construction (oracle)."""
-        start = nfa.epsilon_closure({nfa.initial})
-        states = {start}
-        transitions: dict[tuple[frozenset, Symbol], frozenset] = {}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            for symbol in nfa.alphabet:
-                nxt = nfa.step(current, symbol)
-                if not nxt:
-                    continue
-                transitions[(current, symbol)] = nxt
-                if nxt not in states:
-                    states.add(nxt)
-                    queue.append(nxt)
-        finals = {subset for subset in states if subset & nfa.finals}
-        return cls(states, nfa.alphabet, transitions, start, finals)
 
     # ------------------------------------------------------------------ #
     # runs
@@ -191,49 +171,20 @@ class DFA:
         minimal partial DFA: every state is reachable and co-reachable,
         except that the initial state is always kept).  Hopcroft and Moore
         compute the same Myhill-Nerode partition, so the output is identical
-        to :meth:`minimized_moore` (the legacy oracle) object-for-object.
+        to Moore's refinement (the oracle in ``tests/oracles/``)
+        object-for-object.
         """
         from repro.automata.kernel.hopcroft import hopcroft_partition
 
         total = self.completed().trimmed()
         return total._lower_partition(hopcroft_partition(total))
 
-    def minimized_moore(self) -> "DFA":
-        """Moore partition-refinement minimisation (the legacy oracle)."""
-        total = self.completed().trimmed()
-        # initial partition: finals vs non-finals
-        partition: list[frozenset[State]] = []
-        if total.finals:
-            partition.append(frozenset(total.finals))
-        non_finals = total.states - total.finals
-        if non_finals:
-            partition.append(frozenset(non_finals))
-        symbols = sorted(total.alphabet)
-
-        changed = True
-        while changed:
-            changed = False
-            block_index = {state: index for index, block in enumerate(partition) for state in block}
-            new_partition: list[frozenset[State]] = []
-            for block in partition:
-                signature_groups: dict[tuple, set[State]] = {}
-                for state in block:
-                    signature = tuple(
-                        block_index[total.delta(state, symbol)] for symbol in symbols
-                    )
-                    signature_groups.setdefault(signature, set()).add(state)
-                if len(signature_groups) > 1:
-                    changed = True
-                new_partition.extend(frozenset(group) for group in signature_groups.values())
-            partition = new_partition
-        return total._lower_partition(partition)
-
     def _lower_partition(self, partition: Sequence[frozenset[State]]) -> "DFA":
         """Build the minimal DFA from a Myhill-Nerode partition of ``self``.
 
         ``self`` must be complete and trimmed.  Block representatives and
-        the final sink-dropping are shared by the Hopcroft and Moore paths,
-        so both produce the same automaton.
+        the final sink-dropping are shared with the Moore oracle in
+        ``tests/oracles/``, so both produce the same automaton.
         """
         symbols = sorted(self.alphabet)
         representative = {block: min(block, key=repr) for block in partition}

@@ -12,10 +12,12 @@ DFA` API is unchanged -- the hot entry points (``DFA.from_nfa``,
 engine's pipeline, the batch-validation run loop and the product
 constructions of :mod:`repro.core.perfect`) route through this package via
 the cheap lift/lower converters of :mod:`repro.automata.kernel.compact`.
-The legacy implementations stay available (``DFA.from_nfa_legacy``,
-``DFA.minimized_moore``, ``counterexample_inclusion_uncached``) as
-differential-testing oracles; ``tests/automata/test_kernel_identity.py``
-checks the two sides agree on random automata.
+The legacy implementations serve as differential-testing oracles: the
+subset construction, Moore minimisation and object-level product live in
+``tests/oracles/automata.py``, and ``counterexample_inclusion_uncached``
+stays in :mod:`repro.automata.equivalence` (witness extraction uses it);
+``tests/automata/test_kernel_identity.py`` checks the two sides agree on
+random automata.
 """
 
 from repro.automata.kernel.compact import CompactNFA, iter_bits, mask_of

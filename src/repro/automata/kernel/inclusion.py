@@ -149,8 +149,8 @@ def product_intersection(left: NFA, right: NFA) -> NFA:
     """The synchronous-product automaton for ``[left] ∩ [right]``.
 
     Pair states are named ``(left_state, right_state)`` over the original
-    state objects -- the same naming as the legacy
-    ``operations._binary_intersection`` -- and only reachable pairs are
+    state objects -- the same naming as the legacy object-level product
+    in ``tests/oracles/automata.py`` -- and only reachable pairs are
     generated, so the output is indistinguishable from the legacy one.
     """
     a = CompactNFA(left)

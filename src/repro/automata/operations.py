@@ -109,7 +109,8 @@ def intersection(*automata: NFA) -> NFA:
     Uses the synchronous product of the epsilon-free automata, explored on
     the integer/bitset kernel
     (:func:`repro.automata.kernel.product_intersection`); the pair-state
-    naming matches the legacy :func:`_binary_intersection` oracle exactly.
+    naming matches the legacy object-level product (the differential
+    oracle in ``tests/oracles/``) exactly.
     """
     from repro.automata.kernel.inclusion import product_intersection
 
@@ -134,31 +135,6 @@ def intersects(left: NFA, right: NFA) -> bool:
     from repro.automata.kernel.inclusion import nfa_intersects
 
     return nfa_intersects(left, right)
-
-
-def _binary_intersection(left: NFA, right: NFA) -> NFA:
-    """The legacy object-level synchronous product (differential oracle)."""
-    a = left.remove_epsilon()
-    b = right.remove_epsilon()
-    alphabet = a.alphabet & b.alphabet
-    initial = (a.initial, b.initial)
-    states = {initial}
-    transitions: dict[State, dict[Symbol, set[State]]] = {}
-    stack = [initial]
-    while stack:
-        src_a, src_b = current = stack.pop()
-        for symbol in alphabet:
-            targets_a = a.successors(src_a, symbol)
-            targets_b = b.successors(src_b, symbol)
-            for dst_a in targets_a:
-                for dst_b in targets_b:
-                    dst = (dst_a, dst_b)
-                    transitions.setdefault(current, {}).setdefault(symbol, set()).add(dst)
-                    if dst not in states:
-                        states.add(dst)
-                        stack.append(dst)
-    finals = {(qa, qb) for (qa, qb) in states if qa in a.finals and qb in b.finals}
-    return NFA(states, left.alphabet | right.alphabet, transitions, initial, finals)
 
 
 def complement(nfa: NFA, alphabet: Iterable[Symbol] | None = None) -> NFA:

@@ -36,10 +36,10 @@ designer's tool:
 * ``repro-design stats HOST:PORT`` — fetch a live server's metrics
   snapshot (``--watch N`` keeps refreshing it);
 * ``repro-design trace HOST:PORT --id TRACE`` — reconstruct one
-  publication's lifecycle from the trace rings (a directory endpoint
-  fans out to every live pod, merging the rings by timestamp);
-* ``repro-design logs HOST:PORT --id TRACE`` — the prose twin of
-  ``trace``: stitch the structured log rings into one time-ordered story;
+  publication's lifecycle from the event rings' named spans (a directory
+  endpoint fans out to every live pod, merging the rings by timestamp);
+* ``repro-design logs HOST:PORT --id TRACE`` — the same rings' prose
+  view: stitch their log messages into one time-ordered story;
 * ``repro-design profile HOST:PORT --duration 2`` — sample a live
   member's stacks and print flamegraph-compatible collapsed output;
 * ``repro-design slo HOST:PORT`` — summarize latency objectives and
@@ -64,6 +64,7 @@ from repro.api import analyze_design, bottom_up_design, kernel, top_down_design
 from repro.engine import CompilationEngine, use_engine
 from repro.engine.backends import BACKENDS
 from repro.errors import ReproError
+from repro.observability.events import LEVELS
 from repro.schemas.dtd_text import parse_dtd_text
 from repro.trees.term import parse_term
 from repro.trees.xml_io import tree_from_xml
@@ -104,9 +105,28 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         choices=BACKENDS,
         default=None,
         help="validation backend (default: $REPRO_BACKEND, else the interpreted "
-        "'python' oracle; 'codegen' compiles a per-schema validator, 'numpy' "
-        "vectorizes many-documents-one-schema batches)",
+        "'python' oracle; 'codegen' compiles a per-schema validator)",
     )
+
+
+def _add_ring_arguments(parser: argparse.ArgumentParser, what: str) -> None:
+    """The endpoint and filters shared by the ``trace`` and ``logs`` verbs."""
+    parser.add_argument(
+        "endpoint",
+        metavar="HOST:PORT",
+        help="server endpoint to query (a directory fans out to its live pods)",
+    )
+    parser.add_argument(
+        "--id",
+        dest="trace_id",
+        default=None,
+        metavar="TRACE",
+        help="only this trace id's events (default: the whole ring)",
+    )
+    parser.add_argument(
+        "--limit", type=int, default=None, help="at most this many events per member"
+    )
+    _add_json_argument(parser, what)
 
 
 def _add_json_argument(parser: argparse.ArgumentParser, what: str) -> None:
@@ -462,51 +482,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = subparsers.add_parser(
         "trace",
-        help="reconstruct a publication's lifecycle from the trace rings",
+        help="reconstruct a publication's lifecycle from the event rings' named spans",
     )
-    trace.add_argument(
-        "endpoint",
-        metavar="HOST:PORT",
-        help="server endpoint to query (a directory fans out to its live pods)",
-    )
-    trace.add_argument(
-        "--id",
-        dest="trace_id",
-        default=None,
-        metavar="TRACE",
-        help="only this trace id's events (default: the whole ring)",
-    )
-    trace.add_argument(
-        "--limit", type=int, default=None, help="at most this many events per member"
-    )
-    _add_json_argument(trace, "the trace events")
+    _add_ring_arguments(trace, "the trace events")
 
     logs = subparsers.add_parser(
         "logs",
-        help="stitch structured log lines from the log rings (the prose twin of trace)",
-    )
-    logs.add_argument(
-        "endpoint",
-        metavar="HOST:PORT",
-        help="server endpoint to query (a directory fans out to its live pods)",
-    )
-    logs.add_argument(
-        "--id",
-        dest="trace_id",
-        default=None,
-        metavar="TRACE",
-        help="only this trace id's events (default: the whole ring)",
+        help="stitch structured log lines from the event rings' messages",
     )
     logs.add_argument(
         "--level",
         default=None,
-        choices=("debug", "info", "warning", "error"),
+        choices=tuple(LEVELS),
         help="only events at or above this severity",
     )
-    logs.add_argument(
-        "--limit", type=int, default=None, help="at most this many events per member"
-    )
-    _add_json_argument(logs, "the log events")
+    _add_ring_arguments(logs, "the log events")
 
     profile = subparsers.add_parser(
         "profile",
@@ -931,63 +921,55 @@ def _collect_ring_events(endpoint: str, fetch) -> list[dict]:
     return events
 
 
-def _collect_trace_events(args: argparse.Namespace) -> list[dict]:
-    return _collect_ring_events(
-        args.endpoint,
-        lambda client: client.trace(args.trace_id, limit=args.limit)["events"],
-    )
+def _run_ring(args: argparse.Namespace, fetch, empty: str, head, shown: tuple) -> int:
+    """Print one view of the event rings, merged across members by time.
+
+    ``fetch(client)`` pulls one member's events, ``head(event)`` renders
+    the fixed part of a line and ``shown`` names the keys it covers; every
+    other key is printed as ``key=value``.
+    """
+    events = _collect_ring_events(args.endpoint, fetch)
+    if args.json:
+        _emit_json({"trace": args.trace_id, "events": events})
+        return 0 if events else 1
+    if not events:
+        print(empty)
+        return 1
+    base = events[0].get("ts", 0.0)
+    for event in events:
+        offset = 1000 * (event.get("ts", base) - base)
+        attrs = " ".join(f"{key}={event[key]}" for key in sorted(event) if key not in shown)
+        print(f"+{offset:9.3f} ms  {head(event)}  {attrs}".rstrip())
+    return 0
+
+
+def _trace_head(event: dict) -> str:
+    ms = event.get("ms")
+    took = f"  took {ms:.3f} ms" if isinstance(ms, (int, float)) else ""
+    return f"[{event.get('component', '?'):<12}] {event.get('name', '?'):<18}{took}"
 
 
 def _run_trace(args: argparse.Namespace) -> int:
-    events = _collect_trace_events(args)
-    if args.json:
-        _emit_json({"trace": args.trace_id, "events": events})
-        return 0 if events else 1
-    if not events:
-        print("no trace events recorded")
-        return 1
-    base = events[0].get("ts", 0.0)
-    for event in events:
-        offset = 1000 * (event.get("ts", base) - base)
-        ms = event.get("ms")
-        took = f"  took {ms:.3f} ms" if isinstance(ms, (int, float)) else ""
-        attrs = " ".join(
-            f"{key}={event[key]}"
-            for key in sorted(event)
-            if key not in ("trace", "name", "component", "ts", "ms")
-        )
-        line = f"+{offset:9.3f} ms  [{event.get('component', '?'):<12}] {event.get('name', '?'):<18}{took}"
-        print(f"{line}  {attrs}".rstrip())
-    return 0
+    return _run_ring(
+        args,
+        lambda client: client.trace(args.trace_id, limit=args.limit)["events"],
+        "no trace events recorded",
+        _trace_head,
+        ("trace", "name", "component", "ts", "ms"),
+    )
 
 
 def _run_logs(args: argparse.Namespace) -> int:
-    events = _collect_ring_events(
-        args.endpoint,
-        lambda client: client.logs(
-            args.trace_id, limit=args.limit, level=args.level
-        )["events"],
-    )
-    if args.json:
-        _emit_json({"trace": args.trace_id, "events": events})
-        return 0 if events else 1
-    if not events:
-        print("no log events recorded")
-        return 1
-    base = events[0].get("ts", 0.0)
-    for event in events:
-        offset = 1000 * (event.get("ts", base) - base)
-        attrs = " ".join(
-            f"{key}={event[key]}"
-            for key in sorted(event)
-            if key not in ("trace", "msg", "component", "ts", "level")
-        )
-        line = (
-            f"+{offset:9.3f} ms  {event.get('level', '?'):<7} "
+    return _run_ring(
+        args,
+        lambda client: client.logs(args.trace_id, limit=args.limit, level=args.level)["events"],
+        "no log events recorded",
+        lambda event: (
+            f"{event.get('level', '?'):<7} "
             f"[{event.get('component', '?'):<12}] {event.get('msg', '?')}"
-        )
-        print(f"{line}  {attrs}".rstrip())
-    return 0
+        ),
+        ("trace", "msg", "component", "ts", "level"),
+    )
 
 
 def _run_profile(args: argparse.Namespace) -> int:

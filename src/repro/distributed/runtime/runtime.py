@@ -316,10 +316,10 @@ class ValidationRuntime:
         the differential tests).
     validation_backend:
         The *validation* backend every peer validator compiles with
-        (``python`` / ``codegen`` / ``numpy``; see
+        (``python`` / ``codegen``; see
         :mod:`repro.engine.backends`) -- distinct from ``backend``, which
         names the scheduler.  Resolved eagerly (argument >
-        ``$REPRO_BACKEND`` > ``python``) so an unavailable backend fails
+        ``$REPRO_BACKEND`` > ``python``) so an unknown backend fails
         at construction.  ``publish`` folds whole payloads through it; the
         streamed ingest of ``publish_stream`` keeps the interpreted
         O(depth) machine for its incremental per-chunk contract,
@@ -333,21 +333,17 @@ class ValidationRuntime:
         shards: Optional[int] = None,
         backend: str = "thread",
         validation_backend: Optional[str] = None,
-        tracer=None,
-        logger=None,
+        events=None,
     ) -> None:
         from repro.engine.backends import resolve_backend
 
         self.document = document
         self.network = document.network
         self.validation_backend = resolve_backend(validation_backend)
-        #: Optional :class:`repro.observability.TraceRecorder`: each
-        #: ``publish`` stamps its outcome with the publication's trace id.
-        self.tracer = tracer
-        #: Optional :class:`repro.observability.LogRecorder` -- the trace
-        #: ring's prose twin; publish/settle outcomes are logged into it
-        #: with the same wire-propagated trace ids.
-        self.logger = logger
+        #: Optional :class:`repro.observability.EventLog`: each publish
+        #: and stream settle emits its outcome with the publication's
+        #: wire-propagated trace id.
+        self.events = events
         functions = tuple(document.resources)
         peer_count = max(1, len(functions))
         workers, shard_count = resolve_pool(peer_count, max_workers, shards)
@@ -473,14 +469,10 @@ class ValidationRuntime:
         with self._state_lock:
             cached = self._clean_ack_locked(function, fingerprint)
         if cached is not None:
-            if self.tracer is not None:
-                self.tracer.record_flat(
-                    trace_id, "runtime.publish", None, "function", function, "clean", True
-                )
-            if self.logger is not None:
-                self.logger.log_flat(
-                    "debug", "publication clean (fingerprint hit)", trace_id,
-                    "function", function,
+            if self.events is not None:
+                self.events.emit(
+                    "debug", "runtime.publish", "publication clean (fingerprint hit)",
+                    trace_id, None, "function", function, "clean", True,
                 )
             return PublishReport(
                 function, fingerprint, clean=True, valid=cached, payload_bytes=len(data)
@@ -494,17 +486,12 @@ class ValidationRuntime:
         with self._state_lock:
             self._settle_locked(function, fingerprint, validator, ack, retained)
         malformed = retained is None
-        if self.tracer is not None:
-            self.tracer.record_flat(
-                trace_id, "runtime.publish", 1000 * (time.perf_counter() - started),
-                "function", function, "clean", False,
-                "backend", validator.backend, "peer_valid", ack,
-            )
-        if self.logger is not None:
-            self.logger.log_flat(
-                "warning" if malformed else "info", "publication settled", trace_id,
-                "function", function, "peer_valid", ack,
-                "bytes", len(data), "malformed", malformed,
+        if self.events is not None:
+            self.events.emit(
+                "warning" if malformed else "info", "runtime.publish", "publication settled",
+                trace_id, 1000 * (time.perf_counter() - started),
+                "function", function, "clean", False, "backend", validator.backend,
+                "peer_valid", ack, "bytes", len(data), "malformed", malformed,
             )
         return PublishReport(
             function, fingerprint, clean=False, valid=ack, malformed=malformed,
@@ -612,21 +599,13 @@ class ValidationRuntime:
         with self._state_lock:
             report = ingest.finish()
             verdict = self.current_verdict()
-        if self.tracer is not None:
-            self.tracer.record(
-                trace_id,
-                "stream.settle",
-                duration_ms=1000 * (time.perf_counter() - started),
-                function=report.function,
-                backend=self.validation_backend,
-                payload_bytes=report.payload_bytes,
-                peer_valid=report.valid,
-            )
-        if self.logger is not None:
-            self.logger.log_flat(
-                "warning" if report.malformed else "info", "stream settled", trace_id,
-                "function", report.function, "peer_valid", report.valid,
-                "bytes", report.payload_bytes, "malformed", report.malformed,
+        if self.events is not None:
+            self.events.emit(
+                "warning" if report.malformed else "info", "stream.settle", "stream settled",
+                trace_id, 1000 * (time.perf_counter() - started),
+                "function", report.function, "backend", self.validation_backend,
+                "peer_valid", report.valid, "bytes", report.payload_bytes,
+                "malformed", report.malformed,
             )
         return report, verdict
 

@@ -18,9 +18,8 @@ compilation seam instead:
 * :mod:`repro.engine.batch` compiles a schema once and validates many
   documents against it in a single pass (:class:`BatchValidator`);
 * :mod:`repro.engine.backends` is the pluggable validation-backend
-  registry (``python`` / ``codegen`` / ``numpy``) and
-  :mod:`repro.engine.codegen` the per-schema code generator behind the
-  non-interpreted backends.
+  registry (``python`` / ``codegen``) and :mod:`repro.engine.codegen`
+  the per-schema code generator behind the ``codegen`` backend.
 
 A process-wide default engine is installed at import time; the layers above
 (:mod:`repro.schemas.content_model`, :mod:`repro.automata.equivalence`,
@@ -32,7 +31,7 @@ route through it unless an explicit engine is injected (see
 
 from __future__ import annotations
 
-from repro.engine.backends import BACKENDS, available_backends, resolve_backend
+from repro.engine.backends import BACKENDS, resolve_backend
 from repro.engine.batch import BatchReport, BatchValidator, CompiledSchema
 from repro.engine.codegen import CodegenValidator, codegen_validator_for
 from repro.engine.cache import CacheStats, LRUCache
@@ -62,7 +61,6 @@ __all__ = [
     "CompiledSchema",
     "LRUCache",
     "alphabet_key",
-    "available_backends",
     "codegen_validator_for",
     "dfa_fingerprint",
     "get_default_engine",

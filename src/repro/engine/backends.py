@@ -1,4 +1,4 @@
-"""Pluggable validation backends: ``python``, ``codegen``, ``numpy``.
+"""Pluggable validation backends: ``python`` and ``codegen``.
 
 A *backend* decides how a compiled schema turns documents into verdicts;
 it never changes **what** the verdict is.  The interpreted ``python``
@@ -16,15 +16,10 @@ input, including malformed and truncated payloads (see
   recursive mask function with per-label memo tables.  ~3x faster on the
   benchmark workloads; trades the streaming path's O(depth) bound for
   O(document) (the parser's element tree is materialized).
-* ``numpy`` -- optional, vectorized many-documents-one-schema stepping
-  for :meth:`BatchValidator.validate_many
-  <repro.engine.batch.BatchValidator.validate_many>`; single-document and
-  streaming calls delegate to the ``codegen`` fold.  Only available when
-  numpy is installed.
 
 Selection precedence: explicit API argument (``backend=...`` / the CLI
 ``--backend`` flag) > the ``REPRO_BACKEND`` environment variable >
-``python``.  Unknown or unavailable backends raise a typed
+``python``.  Unknown backends raise a typed
 :class:`~repro.errors.DesignError` naming the fallback.
 """
 
@@ -35,44 +30,22 @@ from typing import Optional
 
 from repro.errors import DesignError
 
-__all__ = ["BACKENDS", "BACKEND_ENV_VAR", "available_backends", "resolve_backend"]
+__all__ = ["BACKENDS", "BACKEND_ENV_VAR", "resolve_backend"]
 
-#: Every backend name the registry knows, available or not.
-BACKENDS = ("python", "codegen", "numpy")
+#: Every backend name the registry knows.
+BACKENDS = ("python", "codegen")
 
 #: Environment variable consulted when no explicit backend is requested.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: Bound on the per-schema vectorized fold memo (distinct (label, word)
-#: entries); cleared wholesale on overflow, evictions counted per kind.
-VECTOR_MEMO_CAPACITY = 8192
-
-#: Words stepped per vectorized slab, bounding the (W, S, n, n) tensors.
-_SLAB = 256
-
-
-def _numpy():
-    """The numpy module, or ``None`` when it is not installed."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised via monkeypatch
-        return None
-    return numpy
-
-
-def available_backends() -> tuple:
-    """The backends that can actually run in this interpreter."""
-    return tuple(name for name in BACKENDS if name != "numpy" or _numpy() is not None)
-
 
 def resolve_backend(requested: Optional[str] = None) -> str:
-    """Resolve a backend request to a concrete, available backend name.
+    """Resolve a backend request to a concrete backend name.
 
     ``None`` falls back to ``$REPRO_BACKEND``, then to ``"python"``.
-    Unknown names and unavailable backends raise
-    :class:`~repro.errors.DesignError` naming the always-available
-    fallback, so callers fail fast at construction time rather than deep
-    inside a validation loop.
+    Unknown names raise :class:`~repro.errors.DesignError` naming the
+    interpreted fallback, so callers fail fast at construction time
+    rather than deep inside a validation loop.
     """
     name = requested
     if name is None:
@@ -83,197 +56,4 @@ def resolve_backend(requested: Optional[str] = None) -> str:
             f"unknown validation backend {name!r}: expected one of "
             f"{', '.join(BACKENDS)} (the interpreted fallback is 'python')"
         )
-    if name == "numpy" and _numpy() is None:
-        raise DesignError(
-            "validation backend 'numpy' is unavailable (numpy is not installed); "
-            "fall back to 'python' (the interpreted oracle) or 'codegen'"
-        )
     return name
-
-
-# ---------------------------------------------------------------------- #
-# numpy: many-documents-one-schema vectorized stepping
-# ---------------------------------------------------------------------- #
-
-
-def _bits_to_bool(np, mask: int, length: int):
-    out = np.zeros(length, dtype=bool)
-    while mask:
-        low = mask & -mask
-        out[low.bit_length() - 1] = True
-        mask ^= low
-    return out
-
-
-def _rule_tensors(np, compiled) -> dict:
-    """Per-label boolean transition tensors, cached on the compiled schema.
-
-    For each rule ``(state_bit, nfa)`` of a label: ``M[s, i, j]`` is true
-    iff state ``i`` steps to ``j`` on symbol ``s`` (pre-closure
-    convention, over the schema's shared state order), plus the initial
-    one-hot vector and the closure-adjusted finals vector.
-    """
-    cache = getattr(compiled, "_numpy_rule_tensors", None)
-    if cache is not None:
-        return cache
-    universe = len(compiled._state_order)
-    cache = {}
-    for label, rules in compiled._rules_by_label.items():
-        entries = []
-        for state_bit, nfa in rules:
-            n = nfa.n
-            delta = nfa.delta
-            tensor = np.zeros((universe, n, n), dtype=bool)
-            for symbol in range(min(universe, len(delta))):
-                row = delta[symbol]
-                for source in range(n):
-                    mask = row[source]
-                    while mask:
-                        low = mask & -mask
-                        tensor[symbol, source, low.bit_length() - 1] = True
-                        mask ^= low
-            initial = np.zeros(n, dtype=bool)
-            initial[nfa.initial] = True
-            finals = _bits_to_bool(np, nfa.finals_closed, n)
-            entries.append((state_bit, tensor, initial, finals))
-        cache[label] = tuple(entries)
-    compiled._numpy_rule_tensors = cache
-    return cache
-
-
-def _fold_words_vectorized(np, entries, words: list) -> list:
-    """Fold many distinct children-mask words of one label simultaneously.
-
-    Every word is a tuple of child symbol-set bitmasks (all non-empty
-    tuples).  Returns one possible-state mask per word.  All words of a
-    slab step level-by-level through the same boolean tensors: a dead
-    state set stays dead through padding steps, which matches the
-    interpreted kernel's early ``moved == 0`` rejection exactly.
-    """
-    out = [0] * len(words)
-    for start in range(0, len(words), _SLAB):
-        slab = words[start : start + _SLAB]
-        count = len(slab)
-        longest = max(len(word) for word in slab)
-        if not entries:
-            continue
-        universe = entries[0][1].shape[0]
-        symbols = np.zeros((count, longest, universe), dtype=bool)
-        active = np.zeros((count, longest), dtype=bool)
-        for w, word in enumerate(slab):
-            for t, mask in enumerate(word):
-                active[w, t] = True
-                while mask:
-                    low = mask & -mask
-                    symbols[w, t, low.bit_length() - 1] = True
-                    mask ^= low
-        for state_bit, tensor, initial, finals in entries:
-            current = np.broadcast_to(initial, (count, initial.shape[0])).copy()
-            for t in range(longest):
-                # R[w] = union of the transition matrices of the symbols in
-                # word w's t-th child mask; then one relation-composition
-                # step for every word at once.
-                reachable = np.any(
-                    symbols[:, t, :, None, None] & tensor[None, :, :, :], axis=1
-                )
-                stepped = np.any(current[:, :, None] & reachable, axis=1)
-                current = np.where(active[:, t, None], stepped, current)
-            accepted = np.any(current & finals[None, :], axis=1)
-            for w in range(count):
-                if accepted[w]:
-                    out[start + w] |= state_bit
-    return out
-
-
-def validate_many_vectorized(compiled, documents: list) -> list:
-    """Verdicts for many documents of one schema, numpy-vectorized.
-
-    Nodes are grouped by height across the whole batch; at each height the
-    distinct ``(label, children-mask word)`` pairs are folded in one
-    vectorized pass and shared through a bounded memo, so repeated
-    substructure across documents is stepped once.  Verdicts are
-    bit-identical to :meth:`CompiledSchema.accepts
-    <repro.engine.batch.CompiledSchema.accepts>` per document.
-    """
-    np = _numpy()
-    if np is None:
-        raise DesignError(
-            "validation backend 'numpy' is unavailable (numpy is not installed); "
-            "fall back to 'python' (the interpreted oracle) or 'codegen'"
-        )
-    tensors = _rule_tensors(np, compiled)
-    memo = getattr(compiled, "_numpy_fold_memo", None)
-    if memo is None:
-        memo = {}
-        compiled._numpy_fold_memo = memo
-    stats = compiled.engine.stats.kind_counters("numpy-fold")
-
-    # Heights across the whole batch (iterative: documents can be deep).
-    height: dict[int, int] = {}
-    by_height: dict[int, list] = {}
-    for root in documents:
-        if id(root) in height:
-            continue
-        stack = [(root, False)]
-        while stack:
-            node, ready = stack.pop()
-            if ready:
-                level = 0
-                for child in node.children:
-                    child_height = height[id(child)] + 1
-                    if child_height > level:
-                        level = child_height
-                height[id(node)] = level
-                by_height.setdefault(level, []).append(node)
-            elif id(node) not in height:
-                stack.append((node, True))
-                for child in node.children:
-                    stack.append((child, False))
-
-    masks: dict[int, int] = {}
-    empty_word: dict[str, int] = {}
-    for level in sorted(by_height):
-        pending: dict[tuple, int] = {}
-        nodes = by_height[level]
-        keys = []
-        for node in nodes:
-            if not node.children:
-                label = node.label
-                mask = empty_word.get(label)
-                if mask is None:
-                    mask = 0
-                    for state_bit, _tensor, initial, finals in tensors.get(label, ()):
-                        if np.any(initial & finals):
-                            mask |= state_bit
-                    empty_word[label] = mask
-                masks[id(node)] = mask
-                keys.append(None)
-                continue
-            word = tuple(masks[id(child)] for child in node.children)
-            key = (node.label, word)
-            keys.append(key)
-            if key not in memo and key not in pending:
-                pending[key] = len(pending)
-        if pending:
-            by_label: dict[str, list] = {}
-            for label, word in pending:
-                by_label.setdefault(label, []).append(word)
-            for label, words in by_label.items():
-                entries = tensors.get(label, ())
-                folded = (
-                    _fold_words_vectorized(np, entries, words)
-                    if entries
-                    else [0] * len(words)
-                )
-                if len(memo) + len(words) > VECTOR_MEMO_CAPACITY:
-                    memo.clear()
-                    stats.evictions += 1
-                stats.misses += len(words)
-                for word, mask in zip(words, folded):
-                    memo[(label, word)] = mask
-        for node, key in zip(nodes, keys):
-            if key is not None:
-                masks[id(node)] = memo[key]
-
-    finals_mask = compiled._finals_mask
-    return [bool(masks[id(document)] & finals_mask) for document in documents]

@@ -99,10 +99,10 @@ class CompiledSchema:
         defaults to the process-wide engine, so structurally identical
         content models compile once across all schemas and peers.
     backend:
-        Validation backend name (``python`` / ``codegen`` / ``numpy``),
-        resolved through :func:`~repro.engine.backends.resolve_backend`
-        (explicit argument > ``$REPRO_BACKEND`` > ``python``).  The
-        non-``python`` backends attach a generated validator
+        Validation backend name (``python`` / ``codegen``), resolved
+        through :func:`~repro.engine.backends.resolve_backend` (explicit
+        argument > ``$REPRO_BACKEND`` > ``python``).  The ``codegen``
+        backend attaches a generated validator
         (:mod:`repro.engine.codegen`) that :meth:`accepts` routes through;
         verdicts are bit-identical to the interpreted kernel.
     """
@@ -337,16 +337,7 @@ class BatchValidator:
         return self.compiled.accepts(document)
 
     def validate_many(self, documents: Iterable[Tree]) -> list[bool]:
-        """Validate a batch in one pass over the compiled automaton.
-
-        The ``numpy`` backend steps the whole batch level-by-level through
-        vectorized boolean tensors (many documents, one schema); the other
-        backends validate per document.
-        """
-        if self.compiled.backend == "numpy":
-            from repro.engine.backends import validate_many_vectorized
-
-            return validate_many_vectorized(self.compiled, list(documents))
+        """Validate a batch against the compiled automaton, one verdict per document."""
         return [self.compiled.accepts(document) for document in documents]
 
     def report(self, documents: Iterable[Tree]) -> BatchReport:

@@ -77,8 +77,7 @@ class DirectoryServer(ValidationServer):
 
     def __init__(self, *args, lease_ttl: float = DEFAULT_LEASE_TTL, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.tracer.component = "directory"
-        self.logger.component = "directory"
+        self.events.component = "directory"
         self.lease_ttl = lease_ttl
         self._pods: dict[str, PodRecord] = {}
         self._typing_version = 0
@@ -206,9 +205,9 @@ class DirectoryServer(ValidationServer):
             record.endpoint = resolved or record.endpoint
             record.expires_at = now + self.lease_ttl
             record.joins += 1
-        self.logger.info(
-            "pod joined", pod=pod, functions=len(record.functions),
-            joins=record.joins, pods=len(self._pods),
+        self.events.emit(
+            "info", None, "pod joined", None, None, "pod", pod,
+            "functions", len(record.functions), "joins", record.joins, "pods", len(self._pods),
         )
         return {
             "pod": pod,
@@ -278,28 +277,15 @@ class DirectoryServer(ValidationServer):
             verdicts.acks[function] = (bool(ack), version, pod)
         after = self._global_verdict_of(design)["valid"]
         self._last_global[design] = after
-        self.logger.log_flat(
-            "info", "verdict recorded", trace_id,
+        self.events.emit(
+            "info", "verdict.record", "verdict recorded", trace_id, None,
             "pod", pod, "design", design, "recorded", len(acks),
         )
-        if trace_id:
-            self.tracer.record(
-                trace_id, "verdict.record", pod=pod, design=design, recorded=len(acks)
-            )
         if after is not before:
-            self.logger.log_flat(
-                "info", "global verdict flipped", trace_id,
-                "design", design,
-                "old", _verdict_state(before), "new", _verdict_state(after),
+            self.events.emit(
+                "info", "verdict.flip", "global verdict flipped", trace_id, None,
+                "design", design, "old", _verdict_state(before), "new", _verdict_state(after),
             )
-            if trace_id:
-                self.tracer.record(
-                    trace_id,
-                    "verdict.flip",
-                    design=design,
-                    old=_verdict_state(before),
-                    new=_verdict_state(after),
-                )
         return {
             "design": design,
             "recorded": len(acks),

@@ -418,19 +418,23 @@ class Federation:
             parts.append((labels, text))
         return merge_expositions(parts)
 
+    def _merged(self, fetch) -> list:
+        """Every member's events, ``fetch(client)`` each, merged by wall-clock time."""
+        events: list[dict] = []
+        for _member_id, _role, client, _host in self._members():
+            events.extend(fetch(client))
+        events.sort(key=lambda event: event.get("ts", 0.0))
+        return events
+
     def trace(self, trace_id: Optional[str] = None, limit: Optional[int] = None) -> list:
         """One publication's lifecycle merged across every member's ring.
 
-        Pulls each member's trace ring over the ``trace`` wire op and
+        Pulls each member's trace view over the ``trace`` wire op and
         merges the events by wall-clock timestamp -- this is how a trace
         that hops pod -> directory is reconstructed even when the members
         are separate OS processes.
         """
-        events: list[dict] = []
-        for _member_id, _role, client, _host in self._members():
-            events.extend(client.trace(trace_id, limit=limit)["events"])
-        events.sort(key=lambda event: event.get("ts", 0.0))
-        return events
+        return self._merged(lambda client: client.trace(trace_id, limit=limit)["events"])
 
     def logs(
         self,
@@ -440,16 +444,14 @@ class Federation:
     ) -> list:
         """The federation's structured log lines, merged and time-ordered.
 
-        The prose twin of :meth:`trace`: each member's log ring is pulled
-        over the ``logs`` wire op and the events merge by wall-clock
-        timestamp, so one trace id yields a single readable story spanning
-        pods and directory even across OS processes.
+        The prose view of the same rings as :meth:`trace`: each member's
+        log view is pulled over the ``logs`` wire op and the events merge
+        by wall-clock timestamp, so one trace id yields a single readable
+        story spanning pods and directory even across OS processes.
         """
-        events: list[dict] = []
-        for _member_id, _role, client, _host in self._members():
-            events.extend(client.logs(trace_id, limit=limit, level=level)["events"])
-        events.sort(key=lambda event: event.get("ts", 0.0))
-        return events
+        return self._merged(
+            lambda client: client.logs(trace_id, limit=limit, level=level)["events"]
+        )
 
     def health_endpoints(self) -> dict[str, dict[str, str]]:
         """``member_id -> {"healthz": url, "readyz": url}`` for exporting members."""

@@ -59,8 +59,7 @@ class PodServer(ValidationServer):
     ) -> None:
         super().__init__(*args, **kwargs)
         self.pod_id = pod_id
-        self.tracer.component = f"pod:{pod_id}"
-        self.logger.component = f"pod:{pod_id}"
+        self.events.component = f"pod:{pod_id}"
         self.directory_host = directory_host
         self.directory_port = directory_port
         self.lease_interval = lease_interval
@@ -183,9 +182,9 @@ class PodServer(ValidationServer):
 
     async def _note_directory_error(self) -> None:
         self.directory_errors += 1
-        self.logger.warning(
-            "directory interaction failed",
-            pod=self.pod_id, errors=self.directory_errors,
+        self.events.emit(
+            "warning", None, "directory interaction failed", None, None,
+            "pod", self.pod_id, "errors", self.directory_errors,
         )
         await self._drop_directory_client()
 
@@ -241,9 +240,9 @@ class PodServer(ValidationServer):
                         self._design_typing_version.get(design_id, 0),
                     )
                 self._note_lease_ok()
-                self.logger.info(
-                    "joined directory", pod=self.pod_id,
-                    functions=len(functions), designs=len(self._designs),
+                self.events.emit(
+                    "info", None, "joined directory", None, None, "pod", self.pod_id,
+                    "functions", len(functions), "designs", len(self._designs),
                 )
                 return True
             except (ServiceError, OSError, ConnectionError):
@@ -269,25 +268,15 @@ class PodServer(ValidationServer):
             )
         except (ServiceError, OSError, ConnectionError):
             await self._note_directory_error()
-            if trace_id:
-                self.tracer.record(trace_id, "verdict.push_failed", design=design_id)
-            self.logger.log_flat(
-                "warning", "verdict push failed", trace_id,
+            self.events.emit(
+                "warning", "verdict.push_failed", "verdict push failed", trace_id, None,
                 "design", design_id, "pod", self.pod_id,
             )
             return False
         self._note_lease_ok()
-        if trace_id:
-            self.tracer.record(
-                trace_id,
-                "verdict.push",
-                duration_ms=1000 * (time.perf_counter() - started),
-                design=design_id,
-                pod=self.pod_id,
-            )
-        self.logger.log_flat(
-            "info", "verdict pushed to directory", trace_id,
-            "design", design_id, "pod", self.pod_id,
+        self.events.emit(
+            "info", "verdict.push", "verdict pushed to directory", trace_id,
+            1000 * (time.perf_counter() - started), "design", design_id, "pod", self.pod_id,
         )
         return True
 
@@ -304,8 +293,9 @@ class PodServer(ValidationServer):
                 if error.code == "unknown-pod":
                     # The directory restarted: membership and verdicts are
                     # gone.  Re-join and re-push everything.
-                    self.logger.warning(
-                        "directory lost our membership; resyncing", pod=self.pod_id
+                    self.events.emit(
+                        "warning", None, "directory lost our membership; resyncing",
+                        None, None, "pod", self.pod_id,
                     )
                     await self._sync_directory()
                 else:

@@ -1,4 +1,4 @@
-"""Observability: exposition, tracing, logging, SLOs and live profiling.
+"""Observability: exposition, events (traces and logs), SLOs and live profiling.
 
 Small, dependency-free subsystems every serving layer shares:
 
@@ -8,13 +8,12 @@ Small, dependency-free subsystems every serving layer shares:
   endpoint (:class:`MetricsExporter`) that also routes JSON side pages
   such as ``/healthz`` and ``/readyz``, plus the label-merge helper
   ``Federation.scrape_all()`` uses for single-pane scraping;
-* :mod:`repro.observability.tracing` -- a bounded in-memory span/event
-  recorder (:class:`TraceRecorder`) keyed by wire-propagated trace ids,
-  so one publication's lifecycle (queue wait, runtime publish, ack push,
-  verdict flip) can be reconstructed even across process pods;
-* :mod:`repro.observability.logs` -- the prose twin of the trace ring: a
-  bounded ring of leveled structured log events (:class:`LogRecorder`)
-  carrying the same trace ids, with an optional JSON-lines sink;
+* :mod:`repro.observability.events` -- one bounded in-memory event ring
+  per member (:class:`EventLog`) keyed by wire-propagated trace ids and
+  read through two views: the trace view (named spans, so one
+  publication's lifecycle -- queue wait, runtime publish, ack push,
+  verdict flip -- can be reconstructed even across process pods) and the
+  log view (leveled prose messages);
 * :mod:`repro.observability.slo` -- declared per-op latency objectives
   and an availability error budget evaluated as multi-window burn rates
   (:class:`SloEvaluator`), exported as ``repro_slo_*`` gauges;
@@ -23,26 +22,24 @@ Small, dependency-free subsystems every serving layer shares:
   flamegraph-compatible collapsed stacks from a live process.
 """
 
+from repro.observability.events import EventLog, new_trace_id
 from repro.observability.exposition import (
     EXPOSITION_CONTENT_TYPE,
     MetricsExporter,
     merge_expositions,
     render_exposition,
 )
-from repro.observability.logs import LogRecorder
 from repro.observability.profiling import SamplingProfiler
 from repro.observability.slo import DEFAULT_OBJECTIVES, LatencyObjective, SloEvaluator
-from repro.observability.tracing import TraceRecorder, new_trace_id
 
 __all__ = [
     "DEFAULT_OBJECTIVES",
     "EXPOSITION_CONTENT_TYPE",
+    "EventLog",
     "LatencyObjective",
-    "LogRecorder",
     "MetricsExporter",
     "SamplingProfiler",
     "SloEvaluator",
-    "TraceRecorder",
     "merge_expositions",
     "new_trace_id",
     "render_exposition",

@@ -103,6 +103,11 @@ def _schema_fields(schemas: Mapping[str, object]) -> dict:
     return encoded
 
 
+def _given(**fields) -> dict:
+    """The request fields that were given (``None`` means absent)."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
 class _RequestMixin:
     """The operation vocabulary, shared by both client flavours.
 
@@ -164,13 +169,8 @@ class _RequestMixin:
         return self._call("stats")
 
     def trace(self, trace_id: Optional[str] = None, limit: Optional[int] = None):
-        """Export the server's trace ring (optionally one trace's events)."""
-        fields = {}
-        if trace_id is not None:
-            fields["trace_id"] = trace_id
-        if limit is not None:
-            fields["limit"] = limit
-        return self._call("trace", fields)
+        """The trace view of the server's event ring (optionally one trace's events)."""
+        return self._call("trace", _given(trace_id=trace_id, limit=limit))
 
     def logs(
         self,
@@ -178,15 +178,8 @@ class _RequestMixin:
         limit: Optional[int] = None,
         level: Optional[str] = None,
     ):
-        """Export the server's structured log ring (optionally filtered)."""
-        fields = {}
-        if trace_id is not None:
-            fields["trace_id"] = trace_id
-        if limit is not None:
-            fields["limit"] = limit
-        if level is not None:
-            fields["level"] = level
-        return self._call("logs", fields)
+        """The log view of the server's event ring (optionally filtered)."""
+        return self._call("logs", _given(trace_id=trace_id, limit=limit, level=level))
 
     def profile(
         self,

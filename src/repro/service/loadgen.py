@@ -373,7 +373,7 @@ def run_load(
     ``shed``/``retries``/``goodput`` fields say what it cost.
     ``trace=True`` mints a fresh trace id per publication (the
     observability-overhead benchmark's worst case: every publication's
-    lifecycle is recorded in the server's trace ring).
+    lifecycle is recorded in the server's event ring).
     """
     if mode not in MODES:
         raise DesignError(f"unknown load mode {mode!r}; expected one of {MODES}")

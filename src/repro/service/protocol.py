@@ -307,13 +307,13 @@ OPERATIONS = {
     "validate": ("design", "function"),
     "revalidate": ("design",),
     "stats": (),
-    # Export the server's trace ring (optional ``trace_id`` filter and
-    # ``limit``).  Any op may carry an optional ``trace`` body field -- a
-    # client-minted trace id; every layer that sees it appends lifecycle
-    # events to its ring, which is what this op reads back.
+    # Export the trace view of the server's event ring: named spans with
+    # a trace id (optional ``trace_id`` filter and ``limit``).  Any op may
+    # carry an optional ``trace`` body field -- a client-minted trace id;
+    # every layer that sees it stamps it on the events it emits.
     "trace": (),
-    # Export the server's structured log ring (optional ``trace_id``,
-    # ``level`` floor and ``limit``) -- the prose twin of ``trace``.
+    # Export the log view of the same ring: leveled messages (optional
+    # ``trace_id``, ``level`` floor and ``limit``).
     "logs": (),
     # Drive the member's sampling profiler: ``action`` is ``start``
     # (optional ``hz``/``reset``), ``stop``, ``status`` or ``fetch``

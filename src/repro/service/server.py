@@ -30,7 +30,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.core.kernel import KernelTree
 from repro.core.typing import TreeTyping
@@ -38,10 +38,9 @@ from repro.distributed.network import DistributedDocument
 from repro.distributed.runtime.runtime import ValidationRuntime
 from repro.errors import InvalidXMLError, ReproError
 from repro.observability.exposition import MetricsExporter, render_exposition
-from repro.observability.logs import LogRecorder
+from repro.observability.events import EventLog
 from repro.observability.profiling import SamplingProfiler
 from repro.observability.slo import SloEvaluator
-from repro.observability.tracing import TraceRecorder
 from repro.schemas.dtd_text import parse_dtd_text
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
@@ -81,9 +80,25 @@ _JOIN_TIMEOUT = 30.0
 #: reports the runtime as stalled (a wedged executor call).
 RUNTIME_STALL_SECONDS = 5.0
 
-#: Chatty read-path ops logged at ``debug`` so the default ``info`` view
-#: of the log ring stays about admission and state changes.
+#: Chatty read-path ops logged at ``debug`` so an ``info`` floor on the
+#: log view stays about admission and state changes.
 _QUIET_OPS = frozenset({"ping", "stats", "trace", "logs", "publish_stream_chunk"})
+
+#: Longest ``op`` label an event keeps for a request naming no known op.
+_OP_LABEL_CHARS = 64
+
+
+def _op_label(op) -> str:
+    """A bounded string naming a request's ``op`` field, whatever its JSON type.
+
+    A known operation is its own label; anything else (a list, a number,
+    a megabyte string) is its ``repr`` cut to :data:`_OP_LABEL_CHARS`, so
+    the event ring only ever holds short atomic strings.
+    """
+    if isinstance(op, str) and op in protocol.OPERATIONS:
+        return op
+    return repr(op)[:_OP_LABEL_CHARS]
+
 
 #: The server-side name for a typed request failure: the same class the
 #: clients raise when they receive the resulting error frame.
@@ -238,8 +253,8 @@ class AdmissionController:
         depth = self._queue.qsize()
         if self.max_queue_depth is not None and depth >= self.max_queue_depth:
             self._server.metrics.record_shed("queue-full")
-            self._server.logger.log_flat(
-                "warning", "publication shed: admission queue full", item.trace_id,
+            self._server.events.emit(
+                "warning", None, "publication shed: admission queue full", item.trace_id, None,
                 "design", item.design, "function", item.function, "depth", depth,
             )
             raise OpError(
@@ -341,9 +356,7 @@ class ValidationServer:
         stream_inline_threshold: Optional[int] = DEFAULT_STREAM_INLINE_THRESHOLD,
         max_streams_per_shard: Optional[int] = DEFAULT_MAX_STREAMS_PER_SHARD,
         metrics_port: Optional[int] = None,
-        tracer: Optional[TraceRecorder] = None,
-        logger: Optional[LogRecorder] = None,
-        log_sink: Optional[IO[str]] = None,
+        events: Optional[EventLog] = None,
     ) -> None:
         from repro.engine.backends import resolve_backend
 
@@ -367,22 +380,16 @@ class ValidationServer:
         #: Ceiling on concurrently-open wire streams per runtime shard.
         self.max_streams_per_shard = max_streams_per_shard
         #: Validation backend every registered design's runtime compiles
-        #: with (resolved eagerly so an unavailable backend fails at
+        #: with (resolved eagerly so an unknown backend fails at
         #: server construction, not at the first register request).
         self.validation_backend = resolve_backend(validation_backend)
         self.metrics = ServiceMetrics()
         #: ``None`` keeps the HTTP exposition off; ``0`` binds ephemeral.
         self.metrics_port = metrics_port
         self._exporter: Optional[MetricsExporter] = None
-        #: The publication-lifecycle trace ring; shared with every
-        #: registered design's runtime so shard tasks record into it.
-        self.tracer = tracer if tracer is not None else TraceRecorder(component="server")
-        #: The structured log ring -- the trace ring's prose twin, shared
-        #: with the runtimes the same way.  ``log_sink`` (e.g.
-        #: ``sys.stderr``) mirrors every event as one JSON line.
-        self.logger = logger if logger is not None else LogRecorder(component="server")
-        if log_sink is not None:
-            self.logger.sink = log_sink
+        #: The event ring behind the ``trace`` and ``logs`` ops; shared
+        #: with every registered design's runtime, which emits into it.
+        self.events = events if events is not None else EventLog(component="server")
         #: Per-op latency objectives + availability burn rates, exported
         #: as ``repro_slo_*`` gauges refreshed on every scrape.
         self.slo = SloEvaluator(self.metrics)
@@ -430,9 +437,9 @@ class ValidationServer:
                 routes={"/healthz": self._healthz_route, "/readyz": self._readyz_route},
             ).start()
             self.metrics_port = self._exporter.port
-        self.logger.info(
-            "server listening", host=self.host, port=self.port,
-            metrics_port=self.metrics_port,
+        self.events.emit(
+            "info", None, "server listening", None, None,
+            "host", self.host, "port", self.port, "metrics_port", self.metrics_port,
         )
         self.admission.start()
         if self.stream_ttl is not None:
@@ -455,7 +462,9 @@ class ValidationServer:
             return
         self._closing = True
         self._closed = True
-        self.logger.info("server shutting down", host=self.host, port=self.port)
+        self.events.emit(
+            "info", None, "server shutting down", None, None, "host", self.host, "port", self.port
+        )
         self.profiler.stop()
         self._close_exporter()
         if self._reaper_task is not None:
@@ -589,8 +598,7 @@ class ValidationServer:
             max_workers=self.runtime_workers,
             shards=self.runtime_shards,
             validation_backend=self.validation_backend,
-            tracer=self.tracer,
-            logger=self.logger,
+            events=self.events,
         )
         try:
             runtime.propagate_typing(typing)
@@ -622,7 +630,7 @@ class ValidationServer:
     ) -> RegisteredDesign:
         """Register a design from in-process objects (no wire round-trip).
 
-        Used by :func:`repro.api.serve_design` and the benchmarks to boot a
+        Used by :meth:`repro.api.DesignSession.serve` and the benchmarks to boot a
         server with a design already installed; the wire path is
         ``register_design``.  Call before :meth:`start`.
         """
@@ -652,8 +660,8 @@ class ValidationServer:
         wait = bucket.try_take(now)
         if wait > 0.0:
             self.metrics.record_shed("rate-limited")
-            self.logger.log_flat(
-                "warning", "request shed: rate limit", None,
+            self.events.emit(
+                "warning", None, "request shed: rate limit", None, None,
                 "op", op, "client", connection.peer_host, "retry_after", round(wait, 4),
             )
             raise OpError(
@@ -783,11 +791,9 @@ class ValidationServer:
             await self._post_op(op, body, result)
         except OpError as error:
             self.metrics.record_error(error.code)
-            if trace_id:
-                self.tracer.record(trace_id, "op.error", op=op, code=error.code)
-            self.logger.log_flat(
-                "warning", "op failed", trace_id,
-                "op", str(op), "code", error.code,
+            self.events.emit(
+                "warning", "op.error", "op failed", trace_id, None,
+                "op", _op_label(op), "code", error.code,
             )
             await connection.send_safely(
                 protocol.error_frame(
@@ -797,11 +803,9 @@ class ValidationServer:
             return
         except Exception as error:  # a bug, not a protocol situation -- still typed
             self.metrics.record_error("internal-error")
-            if trace_id:
-                self.tracer.record(trace_id, "op.error", op=op, code="internal-error")
-            self.logger.log_flat(
-                "error", "op crashed", trace_id,
-                "op", str(op), "exception", type(error).__name__,
+            self.events.emit(
+                "error", "op.error", "op crashed", trace_id, None,
+                "op", _op_label(op), "code", "internal-error", "exception", type(error).__name__,
             )
             await connection.send_safely(
                 protocol.error_frame(request_id, "internal-error", f"{type(error).__name__}: {error}")
@@ -809,18 +813,14 @@ class ValidationServer:
             return
         elapsed = time.perf_counter() - started
         self.metrics.record_request(op, elapsed)
-        if trace_id:
-            design = body.get("design")
-            if isinstance(design, str):
-                self.tracer.record_flat(trace_id, "op", elapsed * 1000.0, "op", op, "design", design)
-            else:
-                self.tracer.record_flat(trace_id, "op", elapsed * 1000.0, "op", op)
+        level = "debug" if op in _QUIET_OPS else "info"
         design = body.get("design")
-        self.logger.log_flat(
-            "debug" if op in _QUIET_OPS else "info", "op completed", trace_id,
-            "op", op, "design", design if isinstance(design, str) else None,
-            "ms", round(elapsed * 1000.0, 3),
-        )
+        if isinstance(design, str):
+            self.events.emit(
+                level, "op", "op completed", trace_id, elapsed * 1000.0, "op", op, "design", design
+            )
+        else:
+            self.events.emit(level, "op", "op completed", trace_id, elapsed * 1000.0, "op", op)
         await connection.send_safely(protocol.result_frame(request_id, result))
         if op == "shutdown":
             # After the acknowledgement is on the wire, let serve_forever
@@ -895,39 +895,40 @@ class ValidationServer:
         """
         return None
 
-    def _trace(self, body: dict) -> dict:
-        """Export the trace ring (optionally one trace id's events)."""
+    def _ring_filters(self, body: dict) -> tuple[Optional[str], Optional[int]]:
+        """The ``trace_id`` and ``limit`` filters of a ``trace``/``logs`` request."""
         trace_id = body.get("trace_id")
         if trace_id is not None and not isinstance(trace_id, str):
             raise OpError("bad-request", "'trace_id' must be a string")
         limit = body.get("limit")
         if limit is not None and not isinstance(limit, int):
             raise OpError("bad-request", "'limit' must be an integer")
+        return trace_id, limit
+
+    def _trace(self, body: dict) -> dict:
+        """Export the event ring's trace view (optionally one trace id's events)."""
+        trace_id, limit = self._ring_filters(body)
         return {
-            "component": self.tracer.component,
-            "enabled": self.tracer.enabled,
-            "events": self.tracer.export(trace_id, limit),
+            "component": self.events.component,
+            "enabled": self.events.enabled,
+            "events": self.events.trace(trace_id, limit),
         }
 
     def _logs(self, body: dict) -> dict:
-        """Export the structured log ring (optionally filtered)."""
-        trace_id = body.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            raise OpError("bad-request", "'trace_id' must be a string")
-        limit = body.get("limit")
-        if limit is not None and not isinstance(limit, int):
-            raise OpError("bad-request", "'limit' must be an integer")
+        """Export the event ring's log view (optionally filtered)."""
+        trace_id, limit = self._ring_filters(body)
         level = body.get("level")
         if level is not None and not isinstance(level, str):
             raise OpError("bad-request", "'level' must be a string")
         try:
-            events = self.logger.export(trace_id, limit, level)
+            events = self.events.logs(trace_id, limit, level)
         except ValueError as error:  # unknown level name
             raise OpError("bad-request", str(error)) from None
         return {
-            "component": self.logger.component,
-            "enabled": self.logger.enabled,
-            "level": self.logger.level,
+            "component": self.events.component,
+            "enabled": self.events.enabled,
+            # The ring keeps every level; the floor applies at export.
+            "level": "debug",
             "events": events,
         }
 
@@ -950,11 +951,14 @@ class ValidationServer:
                 )
             except ValueError as error:
                 raise OpError("bad-request", str(error)) from None
-            self.logger.info("profiler started", hz=self.profiler.hz, fresh=started)
+            self.events.emit(
+                "info", None, "profiler started", None, None,
+                "hz", self.profiler.hz, "fresh", started,
+            )
             return {"started": started, **self.profiler.snapshot()}
         if action == "stop":
             stopped = self.profiler.stop()
-            self.logger.info("profiler stopped", was_running=stopped)
+            self.events.emit("info", None, "profiler stopped", None, None, "was_running", stopped)
             return {"stopped": stopped, **self.profiler.snapshot()}
         if action == "fetch":
             limit = body.get("limit")
@@ -1033,10 +1037,10 @@ class ValidationServer:
             # Compile off the loop; mutate the registry back on it.
             entry = await self.run_in_executor(build)
             self.install_design(entry)
-        self.logger.info(
-            "design registered",
-            trace_id=body.get("trace") if isinstance(body.get("trace"), str) else None,
-            design=design_id, functions=len(documents),
+        trace_id = body.get("trace")
+        self.events.emit(
+            "info", None, "design registered", trace_id if isinstance(trace_id, str) else None,
+            None, "design", design_id, "functions", len(documents),
         )
         verdict = entry.runtime.current_verdict()
         return {**entry.describe(), "valid": verdict}
@@ -1132,12 +1136,9 @@ class ValidationServer:
                 settled.append((item, error))
                 continue
             if item.trace_id and item.enqueued:
-                self.tracer.record_flat(
-                    item.trace_id,
-                    "queue.wait",
-                    1000 * (time.perf_counter() - item.enqueued),
-                    "function",
-                    item.function,
+                self.events.emit(
+                    "debug", "queue.wait", None, item.trace_id,
+                    1000 * (time.perf_counter() - item.enqueued), "function", item.function,
                 )
             try:
                 reply = self._settle_publication(
@@ -1331,7 +1332,7 @@ class _Connection:
 class ServiceHandle:
     """A server running on its own thread and event loop.
 
-    What the blocking world (tests, benchmarks, ``api.serve_design``) uses
+    What the blocking world (tests, benchmarks, ``DesignSession.serve``) uses
     to get a live endpoint: ``start()`` returns once the port is bound,
     ``close()`` performs the full graceful shutdown and joins the thread.
     """

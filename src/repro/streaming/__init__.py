@@ -22,7 +22,8 @@ same event source, so both ingest paths classify malformed input alike.
 
 The distributed runtime (:meth:`ValidationRuntime.publish_stream`), the
 network service (the ``publish_stream_*`` operations) and the public
-facade (:func:`repro.api.validate_stream`) all ride on these two modules.
+facade (:meth:`repro.api.DesignSession.stream_validate`) all ride on
+these two modules.
 """
 
 from __future__ import annotations

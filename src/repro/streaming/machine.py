@@ -97,7 +97,7 @@ class StreamingValidator:
         else:
             self.compiled = CompiledSchema(schema, engine, backend=backend)
             self.backend = self.compiled.backend
-        #: The generated whole-payload validator (codegen/numpy backends);
+        #: The generated whole-payload validator (``codegen`` backend);
         #: ``None`` on the interpreted path.  Shared with the batch side
         #: through the ``codegen-validator`` engine memo.
         self._codegen = None
@@ -142,7 +142,7 @@ class StreamingValidator:
         so a document that is both invalid and malformed is reported as
         malformed, exactly like parse-then-validate.
 
-        On the ``codegen``/``numpy`` backends the verdict comes from the
+        On the ``codegen`` backend the verdict comes from the
         generated whole-payload fold (O(document) memory -- the parser's
         element tree is materialized); any parse anomaly replays the
         buffered chunks through this interpreted path so the typed error

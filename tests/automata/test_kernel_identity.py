@@ -2,9 +2,9 @@
 
 The kernel (:mod:`repro.automata.kernel`) re-implements determinisation,
 minimisation, intersection and inclusion on interned integers and bitmasks;
-the legacy object-level implementations stay in the tree as oracles
-(``DFA.from_nfa_legacy``, ``DFA.minimized_moore``,
-``operations._binary_intersection``, ``counterexample_inclusion_uncached``).
+the legacy object-level implementations are the oracles (the subset
+construction, Moore minimisation and object-level product of
+``tests/oracles/automata.py``, and ``counterexample_inclusion_uncached``).
 These tests generate random NFAs (epsilon transitions included) and assert
 the two sides agree -- for the constructions *object-for-object*, not just
 language-for-language.
@@ -12,7 +12,9 @@ language-for-language.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,18 @@ from repro.automata.kernel import (
     product_is_empty,
 )
 from repro.automata.nfa import EPSILON, NFA
-from repro.automata.operations import _binary_intersection
+
+
+def _load_oracles():
+    """Import ``tests/oracles/automata.py`` by path (the test tree has no packages)."""
+    path = Path(__file__).parent.parent / "oracles" / "automata.py"
+    spec = importlib.util.spec_from_file_location("automata_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = _load_oracles()
 
 TRIALS = 150
 
@@ -66,20 +79,20 @@ def rng() -> random.Random:
 def test_kernel_determinize_identical_to_legacy(rng):
     for _ in range(TRIALS):
         nfa = random_nfa(rng)
-        assert _dfas_identical(DFA.from_nfa_legacy(nfa), determinize_nfa(nfa))
+        assert _dfas_identical(oracles.dfa_from_nfa_legacy(nfa), determinize_nfa(nfa))
 
 
 def test_hopcroft_minimize_identical_to_moore(rng):
     for _ in range(TRIALS):
         dfa = DFA.from_nfa(random_nfa(rng))
-        assert _dfas_identical(dfa.minimized(), dfa.minimized_moore())
+        assert _dfas_identical(dfa.minimized(), oracles.minimized_moore(dfa))
 
 
 def test_hopcroft_and_moore_minimal_sizes_agree(rng):
     for _ in range(TRIALS):
         dfa = DFA.from_nfa(random_nfa(rng))
         hopcroft = dfa.minimized()
-        moore = dfa.minimized_moore()
+        moore = oracles.minimized_moore(dfa)
         assert len(hopcroft.states) == len(moore.states)
         assert hopcroft.transition_count() == moore.transition_count()
 
@@ -110,7 +123,7 @@ def test_antichain_inclusion_with_restricted_alphabet(rng):
 def test_kernel_intersection_identical_to_legacy(rng):
     for _ in range(TRIALS):
         left, right = random_nfa(rng), random_nfa(rng)
-        legacy = _binary_intersection(left, right)
+        legacy = oracles.binary_intersection(left, right)
         kernel = product_intersection(left, right)
         assert legacy.states == kernel.states
         assert legacy.initial == kernel.initial
@@ -121,7 +134,7 @@ def test_kernel_intersection_identical_to_legacy(rng):
 def test_product_emptiness_matches_materialised_product(rng):
     for _ in range(TRIALS):
         left, right = random_nfa(rng), random_nfa(rng)
-        expected = _binary_intersection(left, right).is_empty_language()
+        expected = oracles.binary_intersection(left, right).is_empty_language()
         assert product_is_empty(left, right) == expected
         assert nfa_intersects(left, right) == (not expected)
 

@@ -1,15 +1,15 @@
 """Backend identity: every backend is bit-identical to the interpreted oracle.
 
-The ``python`` kernel is the differential oracle; ``codegen`` and
-``numpy`` are only correct if no input can tell them apart from it.  This
-suite drives every available backend through seeded-random mutated
+The ``python`` kernel is the differential oracle; ``codegen`` is only
+correct if no input can tell it apart from it.  This suite drives every
+backend through seeded-random mutated
 documents of all three schema kinds (DTD / SDTD / EDTD), the malformed /
 truncated payload corpus, adversarial chunk splits (reusing the splitter
 of ``tests/streaming/test_fuzz_chunks.py``), and the incremental run API
 -- demanding identical verdicts, identical ``rejected_at`` positions and
 identical typed-error classification throughout.  Backend *selection* is
 covered too: argument > ``$REPRO_BACKEND`` > default precedence, typed
-errors naming the fallback for unknown/unavailable names, and the
+errors naming the fallback for unknown names, and the
 engine-stats counters the generated paths maintain.
 """
 
@@ -22,9 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.engine import (
+    BACKENDS,
     BatchValidator,
     CompilationEngine,
-    available_backends,
     resolve_backend,
 )
 from repro.engine import backends as backends_module
@@ -50,8 +50,7 @@ differential = _load_streaming_module("test_differential")
 fuzz = _load_streaming_module("test_fuzz_chunks")
 
 SCHEMAS = differential.SCHEMAS
-ALL_BACKENDS = available_backends()
-GENERATED_BACKENDS = tuple(name for name in ALL_BACKENDS if name != "python")
+GENERATED_BACKENDS = tuple(name for name in BACKENDS if name != "python")
 
 
 def oracle_outcome(schema, payload):
@@ -75,7 +74,7 @@ def backend_stream_outcome(schema, payload, backend, chunk_bytes=None):
 
 
 class TestVerdictIdentity:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", sorted(SCHEMAS))
     def test_mutated_documents_all_paths_agree(self, kind, backend):
         rng = random.Random(f"{kind}:{backend}")
@@ -205,17 +204,12 @@ class TestSelection:
         monkeypatch.setenv(backends_module.BACKEND_ENV_VAR, "")
         assert resolve_backend() == "python"
 
-    def test_unknown_backend_is_a_typed_error_naming_the_fallback(self):
+    @pytest.mark.parametrize("name", ["turbo", "numpy"])
+    def test_unknown_backend_is_a_typed_error_naming_the_fallback(self, name):
         with pytest.raises(DesignError, match="'python'"):
-            resolve_backend("turbo")
+            resolve_backend(name)
         with pytest.raises(DesignError, match="unknown validation backend"):
-            BatchValidator(SCHEMAS["DTD"], backend="turbo")
-
-    def test_unavailable_numpy_is_a_typed_error_naming_the_fallback(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "_numpy", lambda: None)
-        assert available_backends() == ("python", "codegen")
-        with pytest.raises(DesignError, match="fall back to 'python'"):
-            resolve_backend("numpy")
+            BatchValidator(SCHEMAS["DTD"], backend=name)
 
     def test_streaming_validator_inherits_the_schema_backend(self):
         from repro.engine import CompiledSchema
@@ -252,14 +246,3 @@ class TestEngineStats:
             batch.validate(document)
         union = engine.stats.snapshot()["by_kind"]["union-row"]
         assert union["hits"] > union["misses"] > 0
-
-    @pytest.mark.skipif("numpy" not in ALL_BACKENDS, reason="numpy not installed")
-    def test_numpy_fold_counters_surface_in_stats(self):
-        engine = CompilationEngine()
-        schema = SCHEMAS["EDTD"]
-        batch = BatchValidator(schema, engine=engine, backend="numpy")
-        rng = random.Random("numpy-stats")
-        trees = differential.mutated_trees("EDTD", rng, 20)
-        expected = [BatchValidator(schema, engine=engine).validate(tree) for tree in trees]
-        assert batch.validate_many(trees) == expected
-        assert engine.stats.snapshot()["by_kind"]["numpy-fold"]["misses"] > 0

@@ -1,24 +1,16 @@
 """The unified DesignSession API: one design, four execution substrates.
 
 Every mode must answer the same verdicts for the same publications, the
-deprecated module-level entry points must still work (modulo their
-:class:`DeprecationWarning`), and unknown modes/backends must fail with
-errors that name the valid choices.
+session's static entry points must work without a session, and unknown
+modes/backends must fail with errors that name the valid choices.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import (
-    MODES,
-    DesignSession,
-    ExecutionConfig,
-    dtd,
-    run_distributed_workload,
-    serve_design,
-    validate_stream,
-)
+import repro
+from repro.api import MODES, DesignSession, ExecutionConfig, dtd
 from repro.errors import DesignError
 from repro.trees.xml_io import tree_to_xml
 from repro.workloads.synthetic import distributed_workload
@@ -70,6 +62,12 @@ def test_publish_stream_agrees_with_publish():
             for function, payload in payloads.items():
                 streamed = session.publish_stream(function, payload.encode("utf-8"), chunk_bytes=64)
                 assert streamed["valid"] is True
+            # The package-level trace id minter labels one publication's events.
+            trace_id = repro.new_trace_id()
+            assert session.publish(function, payload, trace_id=trace_id)["valid"] is True
+            assert "runtime.publish" in {event["name"] for event in session.trace(trace_id)}
+            logs = session.logs(trace_id)
+            assert logs and all(event["trace"] == trace_id for event in logs)
 
 
 def test_endpoint_is_exposed_only_for_dialable_modes():
@@ -117,29 +115,16 @@ def test_closed_session_refuses_the_verbs():
 
 
 class TestDeprecatedWrappers:
-    def test_validate_stream_warns_and_still_validates(self):
-        schema = dtd("r", {"r": "a*"})
-        with pytest.warns(DeprecationWarning, match="stream_validate"):
-            assert validate_stream(schema, "<r><a/></r>") is True
-        with pytest.warns(DeprecationWarning):
-            assert validate_stream(schema, b"<r><b/></r>") is False
+    """The session statics that replaced the deleted module-level wrappers."""
 
-    def test_run_distributed_workload_warns_and_still_reports(self):
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            report = run_distributed_workload(peers=2, documents=4, workers=2)
-        assert report.verdicts_agree
-
-    def test_serve_design_warns_and_still_serves(self):
-        from repro.service.client import ServiceClient
-
-        workload = build_workload()
-        with pytest.warns(DeprecationWarning, match="DesignSession.serve"):
-            handle = serve_design(
-                workload.kernel, workload.typing, workload.initial_documents, design_id="dep"
-            )
-        with handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                assert client.ping()["designs"] == ["dep"]
+    @pytest.mark.parametrize(
+        "name", ["serve_design", "run_distributed_workload", "validate_stream"]
+    )
+    def test_the_deleted_wrappers_are_gone(self, name):
+        assert name not in repro.__all__
+        assert not hasattr(repro.api, name)
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
 
     def test_the_new_statics_do_not_warn(self, recwarn):
         schema = dtd("r", {"r": "a*"})

@@ -13,7 +13,7 @@ import pytest
 
 from repro.federation import Federation
 from repro.observability.exposition import SAMPLE_LINE_RE
-from repro.observability.tracing import new_trace_id
+from repro.observability.events import new_trace_id
 from repro.workloads.synthetic import distributed_workload
 from repro.trees.xml_io import tree_to_xml
 

@@ -90,6 +90,38 @@ class TestLogsOp:
         )
 
 
+class TestRingOps:
+    """``trace`` and ``logs`` share one filter validator and one limit rule."""
+
+    @pytest.mark.parametrize("op", ["trace", "logs"])
+    @pytest.mark.parametrize(
+        "fields",
+        [{"trace_id": 5}, {"trace_id": ["t"]}, {"limit": "3"}, {"limit": 1.5}],
+        ids=["int-trace-id", "list-trace-id", "str-limit", "float-limit"],
+    )
+    def test_bad_filters_are_typed(self, client, op, fields):
+        with pytest.raises(ServiceError) as caught:
+            client._call(op, fields)
+        assert caught.value.code == "bad-request"
+        assert repr(next(iter(fields))) in str(caught.value)
+
+    def test_non_string_level_is_typed(self, client):
+        with pytest.raises(ServiceError) as caught:
+            client._call("logs", {"level": 7})
+        assert caught.value.code == "bad-request"
+
+    @pytest.mark.parametrize("op", ["trace", "logs"])
+    def test_limit_takes_the_tail_of_one_trace(self, client, workload, op):
+        payload = tree_to_xml(workload.initial_documents["f1"])
+        for _ in range(3):
+            client.publish("d", "f1", payload + " ", trace_id=f"{op}-tail")
+        every = client._call(op, {"trace_id": f"{op}-tail"})["events"]
+        tail = client._call(op, {"trace_id": f"{op}-tail", "limit": 2})["events"]
+        assert len(every) > 2
+        assert tail == every[-2:]
+        assert client._call(op, {"trace_id": f"{op}-tail", "limit": 0})["events"] == []
+
+
 class TestProfileOp:
     def test_live_profile_returns_collapsed_stacks(self, client):
         started = client.profile("start", hz=300)

@@ -51,6 +51,14 @@ class TestConstructors:
         with pytest.raises(AttributeError):
             repro.does_not_exist
 
+    @pytest.mark.parametrize("name", sorted(repro.__all__))
+    def test_every_advertised_name_resolves(self, name):
+        # README examples call these as ``repro.<name>``: each must resolve,
+        # and the lazy re-exports must be the ``repro.api`` objects.
+        value = getattr(repro, name)
+        if name != "__version__":
+            assert value is getattr(api, name)
+
 
 class TestAnalyzeDesign:
     def test_top_down_report_with_perfect_typing(self):

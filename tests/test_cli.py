@@ -508,6 +508,26 @@ class TestObservabilityCLI:
         assert "publication settled" in out
         assert "[server" in out
 
+    def test_trace_filters_by_trace_id(self, live_server, capsys):
+        from repro.service.client import ServiceClient
+        from repro.trees.xml_io import tree_to_xml
+
+        handle, workload = live_server
+        function = next(iter(workload.initial_documents))
+        payload = tree_to_xml(workload.initial_documents[function])
+        with ServiceClient(handle.host, handle.port) as client:
+            client.publish("workload", function, payload, trace_id="cli-span")
+        endpoint = f"{handle.host}:{handle.port}"
+        exit_code = main(["trace", endpoint, "--id", "cli-span"])
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        assert "runtime.publish" in out and "took" in out
+        assert "[server" in out
+        assert "publication settled" not in out  # prose belongs to the logs verb
+        exit_code = main(["trace", endpoint, "--id", "no-such-trace", "--json"])
+        assert exit_code == 1
+        assert json.loads(capsys.readouterr().out) == {"trace": "no-such-trace", "events": []}
+
     def test_logs_json_and_empty_trace_is_nonzero(self, live_server, capsys):
         handle, _workload = live_server
         exit_code = main(
