@@ -255,7 +255,7 @@ def _scenario_service_publish(quantile: str):
     scenarios drive the same server, booted here at build time so no
     timed round (in particular no "cold" round) absorbs the boot.
     """
-    from repro.metrics import Histogram
+    from repro.metrics import exact_quantile
 
     client, payloads = _service_publish_state()
     fraction = {"p50": 0.50, "p99": 0.99}[quantile]
@@ -263,14 +263,14 @@ def _scenario_service_publish(quantile: str):
     sizes = {"peers": 8, "publications_per_round": repeats * len(payloads)}
 
     def run():
-        histogram = Histogram()
+        latencies = []
         for _ in range(repeats):
             for function, payload in payloads.items():
                 started = time.perf_counter()
                 result = client.publish("bench", function, payload)
-                histogram.record(1000 * (time.perf_counter() - started))
+                latencies.append(1000 * (time.perf_counter() - started))
                 assert result["clean"]
-        return {f"{quantile}_ms": round(histogram.percentile(fraction), 4)}
+        return {f"{quantile}_ms": round(exact_quantile(latencies, fraction), 4)}
 
     return run, sizes
 
@@ -496,7 +496,7 @@ def _scenario_federation_publish(pods: int, peers: int, documents: int):
     per-publish latency percentile.
     """
     from repro.federation import Federation
-    from repro.metrics import Histogram
+    from repro.metrics import exact_quantile
     from repro.trees.xml_io import tree_to_xml
     from repro.workloads import synthetic
 
@@ -516,17 +516,17 @@ def _scenario_federation_publish(pods: int, peers: int, documents: int):
     sizes = {"pods": pods, "peers": peers, "publications_per_round": repeats * len(payloads)}
 
     def run():
-        histogram = Histogram()
+        latencies = []
         for _ in range(repeats):
             for function, payload in payloads.items():
                 started = time.perf_counter()
                 result = federation.publish(function, payload)
-                histogram.record(1000 * (time.perf_counter() - started))
+                latencies.append(1000 * (time.perf_counter() - started))
                 assert result["clean"]
         verdict = federation.global_verdict()
         assert verdict["complete"]
         return {
-            "p50_ms": round(histogram.percentile(0.50), 4),
+            "p50_ms": round(exact_quantile(latencies, 0.50), 4),
             "global_verdict": verdict["valid"],
         }
 

@@ -4,8 +4,10 @@ One counter implementation serves every accounting need of the system:
 
 * :class:`Counter` -- a thread-safe monotonic counter;
 * :class:`Gauge` -- a thread-safe settable value (queue depths, live pods);
-* :class:`Histogram` -- a bounded-reservoir histogram with percentile
-  queries (request latencies, batch sizes, queue depths);
+* :class:`Histogram` -- counts over one fixed log-spaced bucket layout
+  (:data:`BUCKET_BOUNDS`) plus exact count/sum/max (request latencies,
+  batch sizes, queue depths).  Every histogram shares the layout, so
+  histograms from different pods or scrapes merge by adding counts;
 * :class:`TrafficLedger` -- the message/byte pair used both by the
   simulated peer :class:`~repro.distributed.network.Network` and by the
   validation service's socket accounting
@@ -15,9 +17,11 @@ One counter implementation serves every accounting need of the system:
   -- labeled metric families with a *frozen* label set (``op``,
   ``design``, ``shard``, ``backend``, ``pod``...), the unit the
   Prometheus exposition in :mod:`repro.observability` renders;
-* :class:`MetricsRegistry` -- a named collection of the above with one
-  ``snapshot()`` (what the service's ``stats`` request returns) and a
-  ``collect()`` view the exposition renderer consumes.
+* :class:`MetricsRegistry` -- a named collection of families and
+  ledgers with one ``snapshot()`` (the base of the service's ``stats``
+  reply) and a ``collect()`` view the exposition renderer consumes;
+* :func:`exact_quantile` -- the exact nearest-rank quantile of a finished
+  sample list, for load generators and benchmarks.
 
 The module sits beside :mod:`repro.engine` at the bottom of the layer
 stack on purpose: ``distributed`` and ``service`` both import it, never
@@ -28,12 +32,20 @@ event loop thread alike.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
-from typing import Iterable, NamedTuple, Optional, Sequence
+from bisect import bisect_left
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
-#: Default reservoir bound of a histogram (observations beyond it wrap around).
-DEFAULT_RESERVOIR = 65536
+#: The one histogram bucket layout (upper bounds; ``+Inf`` is implicit):
+#: four per power of two, ``2 ** -9.75`` (~0.0012) to ``2 ** 20``.  A
+#: quantile estimate of a value in ``(2 ** -10, 2 ** 20]`` overshoots by
+#: under 19% (``2 ** 0.25``), below it by under 0.0012; above it, it is ``max``.
+BUCKET_BOUNDS: tuple[float, ...] = tuple(2.0 ** (k / 4) for k in range(-39, 81))
+
+_UPPER_BOUNDS = BUCKET_BOUNDS + (math.inf,)
 
 #: The repo's metric-name convention, checked at family creation (and by
 #: the CI lint): a ``repro_`` prefix, lower-snake, optional unit suffix.
@@ -43,16 +55,22 @@ METRIC_NAME_RE = re.compile(r"^repro_[a-z][a-z0-9_]*$")
 LABEL_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
-def _quantiles(values: Sequence[float], fractions: Iterable[float]) -> list[float]:
-    """Nearest-rank quantiles of an already-sorted sequence.
+def _rank(count: int, fraction: float) -> int:
+    """The 0-based nearest-rank index of quantile ``fraction`` among ``count`` values."""
+    top = count - 1
+    return min(top, int(round(fraction * top)))
 
-    The single home of the index math both :meth:`Histogram.percentile`
-    and :meth:`Histogram.snapshot` use; an empty sequence yields zeros.
+
+def exact_quantile(samples: Sequence[float], fraction: float) -> float:
+    """The exact nearest-rank ``fraction`` quantile (0..1) of finished samples.
+
+    For benchmark and load-generator sample lists; the same rank as a
+    :class:`Histogram` estimate, without its bucket rounding.  An empty
+    sequence yields ``0.0``.
     """
-    if not values:
-        return [0.0 for _ in fractions]
-    top = len(values) - 1
-    return [values[min(top, int(round(fraction * top)))] for fraction in fractions]
+    if not samples:
+        return 0.0
+    return sorted(samples)[_rank(len(samples), fraction)]
 
 
 class Counter:
@@ -102,37 +120,32 @@ class Gauge:
 
 
 class Histogram:
-    """A bounded-reservoir histogram with percentile queries.
+    """A fixed-bucket histogram: mergeable counts plus exact totals.
 
-    Observations are kept in a ring buffer of ``reservoir`` slots: the
-    histogram never grows beyond its bound, and once it wraps the
-    percentiles describe the most recent ``reservoir`` observations --
-    the steady state, which is what a latency distribution should show.
-    ``count``/``total`` keep exact all-time totals regardless of the bound.
+    Every histogram shares the one bucket layout :data:`BUCKET_BOUNDS`,
+    so two histograms (two pods, two scrapes) combine by adding their
+    per-bucket counts.  ``count``, ``sum`` and ``max`` are exact; a
+    quantile is estimated as the upper bound of the bucket holding the
+    nearest-rank observation, capped at ``max`` -- never below the exact
+    nearest-rank value and at most one bucket (a factor ``2 ** 0.25``)
+    above it.  Observations are expected to be non-negative.
     """
 
-    __slots__ = ("_lock", "_reservoir", "_values", "_next", "_count", "_total", "_max")
+    __slots__ = ("_lock", "_counts", "_count", "_sum", "_max")
 
-    def __init__(self, reservoir: int = DEFAULT_RESERVOIR) -> None:
-        if reservoir < 1:
-            raise ValueError("the reservoir needs at least one slot")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._reservoir = reservoir
-        self._values: list[float] = []
-        self._next = 0
+        self._counts = [0] * (len(BUCKET_BOUNDS) + 1)
         self._count = 0
-        self._total = 0.0
+        self._sum = 0.0
         self._max = 0.0
 
     def record(self, value: float) -> None:
+        index = bisect_left(BUCKET_BOUNDS, value)
         with self._lock:
-            if len(self._values) < self._reservoir:
-                self._values.append(value)
-            else:
-                self._values[self._next] = value
-                self._next = (self._next + 1) % self._reservoir
+            self._counts[index] += 1
             self._count += 1
-            self._total += value
+            self._sum += value
             if value > self._max:
                 self._max = value
 
@@ -141,19 +154,25 @@ class Histogram:
         with self._lock:
             return self._count
 
-    def percentile(self, quantile: float) -> float:
-        """The ``quantile``-th percentile (0..1) of the retained observations."""
-        if not 0.0 <= quantile <= 1.0:
-            raise ValueError("quantile must lie in [0, 1]")
+    def buckets(self) -> tuple[list[int], float]:
+        """Cumulative per-bucket counts (the last is ``count``) and the exact sum."""
         with self._lock:
-            values = sorted(self._values)
-        return _quantiles(values, (quantile,))[0]
+            counts, total = list(self._counts), self._sum
+        return list(accumulate(counts)), total
+
+    def quantile(self, fraction: float) -> float:
+        """The estimated nearest-rank ``fraction`` quantile (0..1); 0 when empty."""
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("a quantile fraction lies in [0, 1]")
+        with self._lock:
+            counts, count, maximum = list(self._counts), self._count, self._max
+        return _estimates(counts, count, maximum, (fraction,))[0]
 
     def snapshot(self) -> dict:
         with self._lock:
-            values = sorted(self._values)
-            count, total, maximum = self._count, self._total, self._max
-        p50, p90, p99, p999 = _quantiles(values, (0.50, 0.90, 0.99, 0.999))
+            counts = list(self._counts)
+            count, total, maximum = self._count, self._sum, self._max
+        p50, p90, p99, p999 = _estimates(counts, count, maximum, (0.50, 0.90, 0.99, 0.999))
         return {
             "count": count,
             "mean": total / count if count else 0.0,
@@ -163,6 +182,19 @@ class Histogram:
             "p999": p999,
             "max": maximum,
         }
+
+
+def _estimates(
+    counts: list[int], count: int, maximum: float, fractions: Sequence[float]
+) -> list[float]:
+    """Bucket estimates of nearest-rank quantiles: the holding bucket's bound, capped at max."""
+    if not count:
+        return [0.0 for _ in fractions]
+    cumulative = list(accumulate(counts))
+    return [
+        min(_UPPER_BOUNDS[bisect_left(cumulative, _rank(count, fraction) + 1)], maximum)
+        for fraction in fractions
+    ]
 
 
 class LedgerSnapshot(NamedTuple):
@@ -281,6 +313,8 @@ class _MetricFamily:
     def _child_value(child):
         return child.value
 
+    _child_sample = _child_value
+
 
 class CounterFamily(_MetricFamily):
     kind = "counter"
@@ -302,65 +336,31 @@ class GaugeFamily(_MetricFamily):
 
 class HistogramFamily(_MetricFamily):
     kind = "histogram"
-
-    __slots__ = ("_reservoir",)
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: Sequence[str] = (),
-        reservoir: int = DEFAULT_RESERVOIR,
-    ) -> None:
-        super().__init__(name, help, labels)
-        self._reservoir = reservoir
-
-    def _child_factory(self):  # type: ignore[override]
-        return Histogram(self._reservoir)
+    _child_factory = staticmethod(Histogram)
+    __slots__ = ()
 
     @staticmethod
     def _child_value(child):
         return child.snapshot()
 
+    @staticmethod
+    def _child_sample(child):
+        return child.buckets()
+
 
 class MetricsRegistry:
-    """A named collection of counters, histograms and ledgers.
+    """A named collection of labeled metric families and traffic ledgers.
 
-    Metrics are created on first use (``counter("requests.ping")``), so
-    call sites never need registration boilerplate, and ``snapshot()``
-    returns one JSON-ready dict -- the payload of the service's ``stats``
-    request.
+    Families and ledgers are created on first use
+    (``counter_family("repro_requests_total", ...)``), so call sites
+    never need registration boilerplate; ``snapshot()`` returns one
+    JSON-ready dict and ``collect()`` the view the exposition renders.
     """
 
-    def __init__(self, reservoir: int = DEFAULT_RESERVOIR) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._reservoir = reservoir
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._ledgers: dict[str, TrafficLedger] = {}
         self._families: dict[str, _MetricFamily] = {}
-
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            counter = self._counters.get(name)
-            if counter is None:
-                counter = self._counters[name] = Counter()
-            return counter
-
-    def histogram(self, name: str, reservoir: Optional[int] = None) -> Histogram:
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram(reservoir or self._reservoir)
-            return histogram
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            gauge = self._gauges.get(name)
-            if gauge is None:
-                gauge = self._gauges[name] = Gauge()
-            return gauge
 
     def ledger(self, name: str) -> TrafficLedger:
         with self._lock:
@@ -371,11 +371,11 @@ class MetricsRegistry:
 
     # -- labeled families ------------------------------------------------ #
 
-    def _family(self, cls, name: str, help: str, labels: Sequence[str], **kwargs):
+    def _family(self, cls, name: str, help: str, labels: Sequence[str]):
         with self._lock:
             family = self._families.get(name)
             if family is None:
-                family = self._families[name] = cls(name, help, labels, **kwargs)
+                family = self._families[name] = cls(name, help, labels)
             elif not isinstance(family, cls) or family.label_names != tuple(labels):
                 raise ValueError(
                     f"family {name!r} already registered as {type(family).__name__}"
@@ -394,15 +394,9 @@ class MetricsRegistry:
         return self._family(GaugeFamily, name, help, labels)
 
     def histogram_family(
-        self,
-        name: str,
-        help: str = "",
-        labels: Sequence[str] = (),
-        reservoir: Optional[int] = None,
+        self, name: str, help: str = "", labels: Sequence[str] = ()
     ) -> HistogramFamily:
-        return self._family(
-            HistogramFamily, name, help, labels, reservoir=reservoir or self._reservoir
-        )
+        return self._family(HistogramFamily, name, help, labels)
 
     def families(self) -> list[_MetricFamily]:
         with self._lock:
@@ -413,17 +407,16 @@ class MetricsRegistry:
 
         Each entry is ``{"name", "kind", "help", "samples"}`` where a
         sample is ``(label_pairs, value)`` for counters/gauges and
-        ``(label_pairs, snapshot_dict)`` for histograms; ``label_pairs``
-        is a tuple of ``(label_name, label_value)`` tuples.  Ledgers
-        surface as two counter families (``<name>_messages_total`` /
-        ``<name>_bytes_total``).  Unlabeled legacy metrics are *not*
-        included -- the exposition renders families, the compat
-        ``snapshot()`` renders dotted names.
+        ``(label_pairs, (cumulative_bucket_counts, sum))`` for histograms
+        (see :meth:`Histogram.buckets`); ``label_pairs`` is a tuple of
+        ``(label_name, label_value)`` tuples.  Ledgers surface as two
+        counter families (``<name>_messages_total`` /
+        ``<name>_bytes_total``).
         """
         collected = []
         for family in self.families():
             samples = [
-                (tuple(zip(family.label_names, key)), family._child_value(child))
+                (tuple(zip(family.label_names, key)), family._child_sample(child))
                 for key, child in family.children()
             ]
             collected.append(
@@ -451,26 +444,11 @@ class MetricsRegistry:
         return collected
 
     def snapshot(self) -> dict:
+        """``{"ledgers": ..., "families": ...}``, JSON-ready."""
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-            ledgers = dict(self._ledgers)
-            families = dict(self._families)
-        snapshot = {
-            "counters": {name: counter.value for name, counter in sorted(counters.items())},
-            "histograms": {name: hist.snapshot() for name, hist in sorted(histograms.items())},
-            "ledgers": {
-                name: {"messages": snap.messages, "bytes": snap.bytes}
-                for name, snap in sorted(
-                    (name, ledger.snapshot()) for name, ledger in ledgers.items()
-                )
-            },
+            ledgers = sorted(self._ledgers.items())
+            families = sorted(self._families.items())
+        return {
+            "ledgers": {name: ledger.snapshot()._asdict() for name, ledger in ledgers},
+            "families": {name: family.snapshot() for name, family in families},
         }
-        if gauges:
-            snapshot["gauges"] = {name: gauge.value for name, gauge in sorted(gauges.items())}
-        if families:
-            snapshot["families"] = {
-                name: family.snapshot() for name, family in sorted(families.items())
-            }
-        return snapshot

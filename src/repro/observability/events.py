@@ -1,10 +1,12 @@
-"""One bounded event ring per member, read through a trace view and a log view.
+"""One bounded event log per member, read through a trace view and a log view.
 
 Publication lifecycles cross threads, asyncio tasks and -- in the
 federation -- process boundaries.  Each server-side component (server,
-runtime, pod, directory) owns one :class:`EventLog`: a bounded ring of
-compact event tuples.  Clients mint a trace id (:func:`new_trace_id`)
-and attach it to wire frames as the optional ``trace`` body field; every
+runtime, pod, directory) owns one :class:`EventLog`: two bounded rings
+of compact event tuples, one for events with a trace id and one for
+events without, so untraced traffic can never evict a traced
+publication's spans.  Clients mint a trace id (:func:`new_trace_id`) and
+attach it to wire frames as the optional ``trace`` body field; every
 hook that sees the id stamps it on the one event it emits.
 
 An event carries both a span ``name`` (``op``, ``queue.wait``,
@@ -25,13 +27,14 @@ the members' rings by wall-clock timestamp -- on one host the clocks are
 directly comparable, which is the loopback federation's deployment model.
 
 Emitting sits on the publication hot path (the service op loop and the
-runtime both emit), so it is one tuple build plus one ``deque.append`` --
-atomic under the GIL, so no lock is taken; event dicts are only built at
-export time.  Ring entries are *flat tuples of atomic values* (strings,
-numbers, bools, None) on purpose: CPython untracks such tuples at the
-first gen-0 pass, so the ring's churn never feeds the cyclic GC's older
-generations -- with dict-shaped events, recording measurably increased
-full-collection frequency under load.
+runtime both emit), so it is one tuple build plus one ``deque.append``
+on the ring the trace id selects -- atomic under the GIL, so no lock is
+taken; event dicts are only built at export time.  Ring entries are
+*flat tuples of atomic values* (strings, numbers, bools, None) on
+purpose: CPython untracks such tuples at the first gen-0 pass, so the
+rings' churn never feeds the cyclic GC's older generations -- with
+dict-shaped events, recording measurably increased full-collection
+frequency under load.
 """
 
 from __future__ import annotations
@@ -39,11 +42,13 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
+from operator import itemgetter
 from typing import Optional
 
 __all__ = ["EVENT_CAPACITY", "EventLog", "LEVELS", "new_trace_id"]
 
-#: Bound of a member's event ring (oldest events are evicted first).
+#: Bound of a member's event log, split evenly between the traced and
+#: the untraced ring (oldest events of a ring are evicted first).
 EVENT_CAPACITY = 8192
 
 #: Severity levels, least to most severe (the syslog-ish subset we need).
@@ -71,10 +76,13 @@ def _select(events: list, limit: Optional[int]) -> list:
 
 
 class EventLog:
-    """A bounded in-memory ring of events, safe from any thread.
+    """Two bounded in-memory rings of events, safe from any thread.
 
-    Events are stored as flat ``(trace_id, level, name, msg, ts, ms,
-    key, value, ...)`` tuples -- atomics only, so the GC untracks them --
+    Events with a trace id go to the traced ring, the rest to the
+    untraced ring, each holding ``EVENT_CAPACITY // 2`` events; the
+    trace view reads the traced ring, the log view merges both by
+    timestamp.  Events are stored as flat ``(trace_id, level, name, msg,
+    ts, ms, key, value, ...)`` tuples -- atomics only, so the GC untracks them --
     and only expanded to dicts by :meth:`trace` and :meth:`logs`; the
     ``component`` is stamped at export time (it is fixed before traffic
     starts, so every retained event belongs to it).  ``enabled`` is the
@@ -85,7 +93,8 @@ class EventLog:
         self.component = component
         self.enabled = True
         # deque.append/list(deque) are GIL-atomic: no lock on the hot path.
-        self._events: deque[tuple] = deque(maxlen=EVENT_CAPACITY)
+        self._traced: deque[tuple] = deque(maxlen=EVENT_CAPACITY // 2)
+        self._untraced: deque[tuple] = deque(maxlen=EVENT_CAPACITY // 2)
 
     def emit(
         self,
@@ -102,14 +111,15 @@ class EventLog:
         is one tuple concat and one append.
         """
         if self.enabled:
-            self._events.append((trace_id or None, level, name, msg, time.time(), ms) + pairs)
+            (self._traced if trace_id else self._untraced).append(
+                (trace_id or None, level, name, msg, time.time(), ms) + pairs
+            )
 
     def trace(self, trace_id: Optional[str] = None, limit: Optional[int] = None) -> list[dict]:
         """The trace view: events with a trace id and a name, oldest first."""
         events = [
-            raw for raw in list(self._events)  # GIL-atomic snapshot
-            if raw[0] is not None and raw[2] is not None
-            and (trace_id is None or raw[0] == trace_id)
+            raw for raw in list(self._traced)  # GIL-atomic snapshot
+            if raw[2] is not None and (trace_id is None or raw[0] == trace_id)
         ]
         component = self.component
         exported = []
@@ -133,8 +143,11 @@ class EventLog:
             floor = LEVELS.get(level, -1)
             if floor < 0:
                 raise ValueError(f"unknown log level {level!r}: expected one of {sorted(LEVELS)}")
+        ring = list(self._traced)  # GIL-atomic snapshot
+        if trace_id is None:
+            ring = sorted(ring + list(self._untraced), key=itemgetter(4))
         events = [
-            raw for raw in list(self._events)  # GIL-atomic snapshot
+            raw for raw in ring
             if raw[3] is not None and LEVELS.get(raw[1], 0) >= floor
             and (trace_id is None or raw[0] == trace_id)
         ]
@@ -148,7 +161,7 @@ class EventLog:
         return exported
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._traced) + len(self._untraced)
 
 
 def _expand(event: dict, raw: tuple) -> dict:

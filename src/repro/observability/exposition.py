@@ -3,10 +3,11 @@
 :func:`render_exposition` turns :meth:`MetricsRegistry.collect`'s
 normalized view into the plain-text format every Prometheus-compatible
 scraper reads: ``# HELP``/``# TYPE`` headers followed by one sample line
-per labeled series.  Reservoir histograms are rendered as ``summary``
-families -- ``quantile`` labels plus ``_sum``/``_count`` series -- since
-the repo's :class:`~repro.metrics.Histogram` keeps quantiles, not
-buckets.
+per labeled series.  Histograms are rendered as the ``histogram`` type:
+cumulative ``_bucket{le="..."}`` lines over the one fixed layout
+:data:`~repro.metrics.BUCKET_BOUNDS`, ending with ``le="+Inf"``, then
+``_sum`` and ``_count``.  Every member exposes the same ``le`` set, so
+bucket counts sum across pods and subtract across two scrapes.
 
 :class:`MetricsExporter` serves the rendering over a stdlib
 ``ThreadingHTTPServer`` on its own daemon thread (no new dependencies),
@@ -15,8 +16,9 @@ can each carry their own ``/metrics`` without port bookkeeping.
 
 :func:`merge_expositions` is the federation's single-pane-of-glass
 helper: it re-labels each member's exposition (``pod="pod-0"``) and
-merges the streams, deduplicating headers, so ``Federation.scrape_all()``
-returns one valid document covering the whole topology.
+merges the streams, grouping every family's samples under its single
+``# HELP``/``# TYPE`` header, so ``Federation.scrape_all()`` returns one
+valid document covering the whole topology.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+from repro.metrics import BUCKET_BOUNDS
 
 __all__ = [
     "EXPOSITION_CONTENT_TYPE",
@@ -45,8 +49,11 @@ SAMPLE_LINE_RE = re.compile(
     r" (?P<value>[0-9eE+.\-]+|NaN|[+-]Inf)$"
 )
 
-#: Histogram snapshot keys rendered as ``quantile`` labels.
-_QUANTILE_KEYS = (("p50", "0.5"), ("p90", "0.9"), ("p99", "0.99"), ("p999", "0.999"))
+#: ``le`` label values of a histogram's buckets, the last one ``+Inf``.
+_LE_VALUES = tuple(repr(bound) for bound in BUCKET_BOUNDS) + ("+Inf",)
+
+#: Suffixes of a histogram family's sample names.
+_HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
 
 
 def _escape_label(value: str) -> str:
@@ -78,23 +85,16 @@ def render_exposition(collected: Iterable[dict]) -> str:
             continue
         if help_:
             lines.append(f"# HELP {name} {help_}")
-        exposed_kind = "summary" if kind == "histogram" else kind
-        lines.append(f"# TYPE {name} {exposed_kind}")
+        lines.append(f"# TYPE {name} {kind}")
         for label_pairs, value in samples:
             if kind == "histogram":
-                snap = value
-                for key, quantile in _QUANTILE_KEYS:
-                    pairs = tuple(label_pairs) + (("quantile", quantile),)
-                    lines.append(
-                        f"{name}{_labels_text(pairs)} {_format_value(snap[key])}"
-                    )
-                total = snap["mean"] * snap["count"]
-                lines.append(
-                    f"{name}_sum{_labels_text(label_pairs)} {_format_value(total)}"
-                )
-                lines.append(
-                    f"{name}_count{_labels_text(label_pairs)} {snap['count']}"
-                )
+                cumulative, total = value
+                for le, seen in zip(_LE_VALUES, cumulative):
+                    pairs = tuple(label_pairs) + (("le", le),)
+                    lines.append(f"{name}_bucket{_labels_text(pairs)} {seen}")
+                labels = _labels_text(label_pairs)
+                lines.append(f"{name}_sum{labels} {_format_value(total)}")
+                lines.append(f"{name}_count{labels} {cumulative[-1]}")
             else:
                 lines.append(
                     f"{name}{_labels_text(label_pairs)} {_format_value(value)}"
@@ -106,41 +106,50 @@ def merge_expositions(parts: Sequence[tuple[Sequence[tuple[str, str]], str]]) ->
     """Merge expositions, injecting extra labels into each part's samples.
 
     ``parts`` is ``[(extra_label_pairs, exposition_text), ...]`` -- e.g.
-    ``[((("pod", "pod-0"),), text0), ...]``.  ``# HELP``/``# TYPE`` lines
-    are deduplicated on first sight; sample lines gain the extra labels.
-    A sample that already carries one of the extra label names keeps its
-    own (the directory's per-pod lease gauges must not grow a second
-    ``pod=`` label).
+    ``[((("pod", "pod-0"),), text0), ...]``.  Every family's samples from
+    every part (a histogram's ``_bucket``/``_sum``/``_count`` included)
+    are grouped under its first ``# HELP``/``# TYPE`` lines, families in
+    first-seen order, as text format 0.0.4 requires; sample lines gain
+    the extra labels.  A sample that already carries one of the extra
+    label names keeps its own (the directory's per-pod lease gauges must
+    not grow a second ``pod=`` label).
     """
-    lines: list[str] = []
-    seen_headers: set[str] = set()
+    groups: dict[str, tuple[dict[str, str], list[str]]] = {}
+    histograms: set[str] = set()
     for extra, text in parts:
         for line in text.splitlines():
-            if not line.strip():
+            if line.startswith(("# HELP ", "# TYPE ")):
+                _hash, keyword, name, *rest = line.split(" ", 3)
+                if keyword == "TYPE" and rest == ["histogram"]:
+                    histograms.add(name)
+                groups.setdefault(name, ({}, []))[0].setdefault(keyword, line)
                 continue
-            if line.startswith("#"):
-                if line not in seen_headers:
-                    seen_headers.add(line)
-                    lines.append(line)
-                continue
-            if not extra:
-                lines.append(line)
+            if not line.strip() or line.startswith("#"):
                 continue
             match = SAMPLE_LINE_RE.match(line)
             if match is None:  # pragma: no cover - foreign scrape content
-                lines.append(line)
+                groups.setdefault(line, ({}, []))[1].append(line)
                 continue
             name, labels, value = match.group("name", "labels", "value")
-            inner = labels[1:-1] if labels else ""
-            present = {part.split("=", 1)[0] for part in inner.split(",") if "=" in part}
-            suffix = ",".join(
-                f'{label}="{_escape_label(str(v))}"'
-                for label, v in extra
-                if label not in present
-            )
-            merged = ",".join(part for part in (inner, suffix) if part)
-            labels_text = f"{{{merged}}}" if merged else ""
-            lines.append(f"{name}{labels_text} {value}")
+            if extra:
+                inner = labels[1:-1] if labels else ""
+                present = {part.split("=", 1)[0] for part in inner.split(",") if "=" in part}
+                suffix = ",".join(
+                    f'{label}="{_escape_label(str(v))}"'
+                    for label, v in extra
+                    if label not in present
+                )
+                merged = ",".join(part for part in (inner, suffix) if part)
+                labels_text = f"{{{merged}}}" if merged else ""
+                line = f"{name}{labels_text} {value}"
+            base = name.rsplit("_", 1)[0]
+            if base in histograms and name[len(base):] in _HISTOGRAM_SUFFIXES:
+                name = base
+            groups.setdefault(name, ({}, []))[1].append(line)
+    lines: list[str] = []
+    for headers, samples in groups.values():
+        lines.extend(headers[keyword] for keyword in ("HELP", "TYPE") if keyword in headers)
+        lines.extend(samples)
     return "\n".join(lines) + "\n" if lines else "\n"
 
 

@@ -4,9 +4,11 @@ The missing judgment layer over the raw metric families: the families
 say what happened, an :class:`SloEvaluator` says whether that is *okay*.
 Two kinds of objective are declared:
 
-* **per-op latency** (:class:`LatencyObjective`): the op's p99 -- read
-  straight from the existing ``repro_request_latency_ms`` histogram
-  family -- must stay at or below a target;
+* **per-op latency** (:class:`LatencyObjective`): the op's p99 -- the
+  bucket estimate of the existing ``repro_request_latency_ms`` histogram
+  family, at most one bucket (19%) above the exact value -- must stay at
+  or below a target.  Reading it creates no series: an objective op that
+  has not been served yet reads as p99 ``0`` with count ``0``;
 * **availability**: the fraction of requests answered with a
   server-fault error code (``internal-error``, ``overloaded``) must stay
   within an error budget.  The budget is evaluated as **burn rates**
@@ -168,9 +170,10 @@ class SloEvaluator:
         for window, rate in burn.items():
             self._gauge_burn.labels(window=window).set(round(rate, 6))
         latency: dict[str, dict] = {}
+        served = dict(self._metrics.latency.children())
         for objective in self.objectives:
-            snap = self._metrics.latency.labels(op=objective.op).snapshot()
-            p99 = snap["p99"]
+            histogram = served.get((objective.op,))
+            p99 = histogram.quantile(0.99) if histogram else 0.0
             ok = p99 <= objective.p99_ms
             self._gauge_p99.labels(op=objective.op).set(round(p99, 4))
             self._gauge_target.labels(op=objective.op).set(objective.p99_ms)
@@ -178,7 +181,7 @@ class SloEvaluator:
             latency[objective.op] = {
                 "p99_ms": round(p99, 4),
                 "target_ms": objective.p99_ms,
-                "count": snap["count"],
+                "count": histogram.count if histogram else 0,
                 "ok": ok,
             }
         requests, errors = self._totals()

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import DesignError
-from repro.metrics import Histogram
+from repro.metrics import exact_quantile
 from repro.observability.tracing import new_trace_id
 from repro.service.client import AsyncServiceClient, RetryPolicy, ServiceError
 from repro.trees.xml_io import tree_to_xml
@@ -324,11 +324,7 @@ async def _run(
         final = await setup.revalidate(design)
     finally:
         await setup.close()
-    # One percentile implementation for the whole system (repro.metrics).
-    histogram = Histogram(reservoir=max(1, len(latencies)))
-    for latency in latencies:
-        histogram.record(latency * 1000.0)
-    summary = histogram.snapshot()
+    latencies_ms = [latency * 1000.0 for latency in latencies]
     return LoadReport(
         mode=mode,
         clients=clients,
@@ -336,9 +332,9 @@ async def _run(
         clean=counters["clean"],
         errors=counters["errors"],
         wall_seconds=wall,
-        p50_ms=summary["p50"],
-        p99_ms=summary["p99"],
-        max_ms=summary["max"],
+        p50_ms=exact_quantile(latencies_ms, 0.50),
+        p99_ms=exact_quantile(latencies_ms, 0.99),
+        max_ms=max(latencies_ms, default=0.0),
         final_valid=final.get("valid"),
         shed=counters["shed"],
         retries=counters["retries"],

@@ -10,31 +10,19 @@ class* the simulated peer :class:`~repro.distributed.network.Network`
 accounts with, which is what keeps the service's "bytes in/out" and the
 runtime's "bytes shipped" comparable in one ``stats`` response.
 
-The families are the primary store (what ``/metrics`` exposes); the
-dotted-name shape older clients and tests consume
-(``counters["requests.ping"]``) is *derived* from them in
-:meth:`ServiceMetrics.snapshot` -- the unlabeled API survives as a thin
-compatibility layer with no double recording on the hot path.
+The families are the only store (what ``/metrics`` exposes, latency and
+batch histograms in the shared fixed bucket layout of
+:class:`~repro.metrics.Histogram`); the dotted-name shape older clients
+and tests consume (``counters["requests.ping"]``,
+``histograms["latency.publish"]``) is *derived* from them in
+:meth:`ServiceMetrics.snapshot`, with no double recording on the hot path.
 """
 
 from __future__ import annotations
 
-from repro.metrics import (
-    Counter,
-    Histogram,
-    LedgerSnapshot,
-    MetricsRegistry,
-    TrafficLedger,
-)
+from repro.metrics import MetricsRegistry
 
-__all__ = [
-    "Counter",
-    "Histogram",
-    "LedgerSnapshot",
-    "MetricsRegistry",
-    "ServiceMetrics",
-    "TrafficLedger",
-]
+__all__ = ["ServiceMetrics"]
 
 
 class ServiceMetrics:
@@ -119,9 +107,6 @@ class ServiceMetrics:
 
     # -- reporting ------------------------------------------------------- #
 
-    def publish_latency(self) -> Histogram:
-        return self.latency.labels(op="publish")
-
     def snapshot(self) -> dict:
         """The legacy dotted-name stats shape, derived from the families.
 
@@ -130,7 +115,6 @@ class ServiceMetrics:
         only once it has been recorded, and ``shed.total`` is the sum
         over the reason-labeled shed family.
         """
-        snapshot = self.registry.snapshot()
         counters: dict[str, int] = {}
         histograms: dict[str, dict] = {}
         for family, prefix in ((self.requests, "requests"), (self.errors, "errors"),
@@ -157,6 +141,8 @@ class ServiceMetrics:
         ):
             for _key, child in family.children():
                 histograms[name] = child.snapshot()
-        snapshot["counters"] = dict(sorted(counters.items()))
-        snapshot["histograms"] = dict(sorted(histograms.items()))
-        return snapshot
+        return {
+            "counters": dict(sorted(counters.items())),
+            "histograms": dict(sorted(histograms.items())),
+            **self.registry.snapshot(),
+        }

@@ -83,6 +83,8 @@ def test_trace_spans_pods_and_directory(workload, spawn):
     assert 'pod="pod-0"' in scrape and 'pod="pod-1"' in scrape
     assert "repro_requests_total" in scrape
     assert "repro_federation_pods_live" in scrape
+    assert "# TYPE repro_request_latency_ms histogram" in scrape
+    assert " summary" not in scrape
 
 
 def test_distinct_publications_keep_distinct_traces(workload):

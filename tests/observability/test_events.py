@@ -109,12 +109,38 @@ class TestViews:
 class TestRing:
     def test_ring_is_bounded(self):
         events = EventLog()
-        total = EVENT_CAPACITY + 100
+        half = EVENT_CAPACITY // 2
+        total = half + 100
         for index in range(total):
             events.emit("info", "op", f"event {index}", "t", None, "index", index)
-        assert len(events) == EVENT_CAPACITY == 8192
+        assert len(events) == half == 4096
         assert [event["index"] for event in events.trace()] == list(range(100, total))
         assert events.logs()[0]["msg"] == "event 100"
+        for index in range(total):
+            events.emit("info", "op", f"untraced {index}", None, None, "index", index)
+        assert len(events) == EVENT_CAPACITY == 8192
+        assert len(events.trace()) == half
+        assert events.logs()[half]["msg"] == "untraced 100"
+
+    def test_untraced_traffic_never_evicts_traced_spans(self):
+        """One traced publication, then 5000 untraced ones (two emits each, as served)."""
+        events = EventLog(component="server")
+
+        def publish(trace_id, index):
+            events.emit("debug", "runtime.publish", "publication settled", trace_id, 0.1,
+                        "function", "f1", "index", index)
+            events.emit("info", "op", "op completed", trace_id, 0.2, "op", "publish")
+
+        publish("traced", -1)
+        for index in range(5000):
+            publish(None, index)
+        spans = events.trace("traced")
+        assert [span["name"] for span in spans] == ["runtime.publish", "op"]
+        lines = events.logs()
+        assert [line["ts"] for line in lines] == sorted(line["ts"] for line in lines)
+        assert [line.get("trace") for line in lines[:2]] == ["traced", "traced"]
+        assert lines[-1]["msg"] == "op completed" and "trace" not in lines[-1]
+        assert len(lines) == 2 + EVENT_CAPACITY // 2
 
     def test_disabled_log_is_a_noop(self):
         events = EventLog()
@@ -155,7 +181,7 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
         for view in (events.trace(), events.logs()):
-            assert len(view) == EVENT_CAPACITY
+            assert len(view) == EVENT_CAPACITY // 2  # every event is traced
             for event in view:
                 assert event["trace"] == f"w{event['writer']}"
                 assert event["ms"] == float(event["index"])

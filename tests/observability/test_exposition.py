@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.metrics import METRIC_NAME_RE, MetricsRegistry
+from repro.metrics import BUCKET_BOUNDS, METRIC_NAME_RE, MetricsRegistry
 from repro.observability.exposition import (
     EXPOSITION_CONTENT_TYPE,
     SAMPLE_LINE_RE,
@@ -48,13 +48,27 @@ class TestRenderExposition:
         assert "# TYPE repro_pods_live gauge" in text
         assert "repro_pods_live 2" in text
 
-    def test_histograms_render_as_summaries(self, registry):
+    def test_histograms_render_as_cumulative_buckets(self, registry):
         text = render_exposition(registry.collect())
-        assert "# TYPE repro_latency_ms summary" in text
-        assert 'repro_latency_ms{op="publish",quantile="0.5"} 2.0' in text
-        assert 'repro_latency_ms{op="publish",quantile="0.999"} 3.0' in text
+        assert "# TYPE repro_latency_ms histogram" in text
+        assert "summary" not in text
+        buckets = [
+            line for line in text.splitlines() if line.startswith("repro_latency_ms_bucket{")
+        ]
+        assert len(buckets) == len(BUCKET_BOUNDS) + 1
+        assert buckets[-1] == 'repro_latency_ms_bucket{op="publish",le="+Inf"} 3'
+        assert 'repro_latency_ms_bucket{op="publish",le="1.0"} 1' in text
+        assert 'repro_latency_ms_bucket{op="publish",le="2.0"} 2' in text
+        counts = [int(line.rsplit(" ", 1)[1]) for line in buckets]
+        assert counts == sorted(counts)  # cumulative
         assert 'repro_latency_ms_sum{op="publish"} 6.0' in text
         assert 'repro_latency_ms_count{op="publish"} 3' in text
+        lines = text.splitlines()
+        at = lines.index(buckets[-1])
+        assert lines[at + 1 : at + 3] == [
+            'repro_latency_ms_sum{op="publish"} 6.0',
+            'repro_latency_ms_count{op="publish"} 3',
+        ]
 
     def test_ledgers_become_counters(self, registry):
         text = render_exposition(registry.collect())
@@ -98,6 +112,33 @@ class TestMergeExpositions:
         merged = merge_expositions([((("pod", "directory"), ("role", "directory")), text)])
         assert 'repro_lease_age{pod="pod-7",role="directory"} 3' in merged
         assert merged.count("pod=") == 1
+
+    def test_each_family_stays_one_group(self, registry):
+        text = render_exposition(registry.collect())
+        merged = merge_expositions(
+            [((("pod", "pod-0"),), text), ((("pod", "pod-1"),), text)]
+        )
+        _well_formed(merged)
+        lines = merged.splitlines()
+        families = [line.split()[2] for line in lines if line.startswith("# TYPE ")]
+        assert len(families) == len(set(families))
+        for family in families:
+            start = next(i for i, line in enumerate(lines) if line.startswith(f"# TYPE {family} "))
+            end = next(
+                (i for i in range(start + 1, len(lines)) if lines[i].startswith("#")),
+                len(lines),
+            )
+            block = lines[start + 1 : end]
+            owned = [
+                line for line in lines
+                if not line.startswith("#")
+                and SAMPLE_LINE_RE.match(line).group("name")
+                in (family, f"{family}_bucket", f"{family}_sum", f"{family}_count")
+            ]
+            # Every sample of the family, from both pods, right after its TYPE line.
+            assert block == owned and owned, family
+            assert any('pod="pod-0"' in line for line in block)
+            assert any('pod="pod-1"' in line for line in block)
 
 
 class TestMetricsExporter:

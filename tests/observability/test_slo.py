@@ -105,6 +105,19 @@ class TestLatencyObjectives:
         assert all(entry["ok"] for entry in summary["latency"].values())
         assert set(summary["latency"]) == {o.op for o in DEFAULT_OBJECTIVES}
 
+    def test_unserved_objective_ops_create_no_latency_series(self, metrics):
+        slo, _clock = evaluator(metrics)
+        metrics.record_request("publish", 0.002)
+        summary = slo.refresh()
+        assert summary["latency"]["ping"] == {
+            "p99_ms": 0.0, "target_ms": 50.0, "count": 0, "ok": True,
+        }
+        assert [key for key, _child in metrics.latency.children()] == [("publish",)]
+        assert list(metrics.snapshot()["histograms"]) == ["latency.publish"]
+        text = render_exposition(metrics.registry.collect())
+        assert 'repro_request_latency_ms_count{op="publish"} 1' in text
+        assert 'repro_request_latency_ms_bucket{op="ping"' not in text
+
     def test_invalid_budget_rejected(self, metrics):
         with pytest.raises(ValueError):
             SloEvaluator(metrics, error_budget=0.0)

@@ -7,7 +7,15 @@ import threading
 import pytest
 
 from repro.distributed.network import DistributedDocument
-from repro.metrics import Counter, Histogram, LedgerSnapshot, MetricsRegistry, TrafficLedger
+from repro.metrics import (
+    BUCKET_BOUNDS,
+    Counter,
+    Histogram,
+    LedgerSnapshot,
+    MetricsRegistry,
+    TrafficLedger,
+    exact_quantile,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.workloads.synthetic import distributed_workload
 
@@ -37,41 +45,42 @@ class TestCounter:
 class TestHistogram:
     def test_percentiles(self):
         histogram = Histogram()
-        for value in range(1, 101):
-            histogram.record(float(value))
+        values = [float(value) for value in range(1, 101)]
+        for value in values:
+            histogram.record(value)
         assert histogram.count == 100
-        assert histogram.percentile(0.0) == 1.0
-        assert histogram.percentile(1.0) == 100.0
-        assert 45.0 <= histogram.percentile(0.5) <= 55.0
         snapshot = histogram.snapshot()
         assert snapshot["count"] == 100 and snapshot["max"] == 100.0
-        assert snapshot["p50"] <= snapshot["p99"] <= snapshot["max"]
+        assert snapshot["mean"] == pytest.approx(50.5)
+        for key, fraction in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
+            exact = exact_quantile(values, fraction)
+            assert exact <= snapshot[key] <= exact * 2 ** 0.25
+        assert snapshot["p50"] <= snapshot["p99"] <= snapshot["p999"] == snapshot["max"]
 
     def test_empty_histogram(self):
         histogram = Histogram()
-        assert histogram.percentile(0.5) == 0.0
+        cumulative, total = histogram.buckets()
+        assert cumulative == [0] * (len(BUCKET_BOUNDS) + 1) and total == 0.0
         assert histogram.snapshot() == {
             "count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0,
             "p999": 0.0, "max": 0.0,
         }
 
-    def test_reservoir_wraps_but_totals_stay_exact(self):
-        histogram = Histogram(reservoir=8)
-        for value in range(100):
-            histogram.record(float(value))
-        assert histogram.count == 100
-        # Only the most recent 8 observations are retained for percentiles.
-        assert histogram.percentile(0.0) >= 92.0
+    def test_totals_stay_exact_in_fixed_memory(self):
+        histogram = Histogram()
+        for value in range(100_000):
+            histogram.record(float(value % 1000))
+        cumulative, total = histogram.buckets()
+        assert len(cumulative) == len(BUCKET_BOUNDS) + 1
+        assert cumulative[-1] == histogram.count == 100_000
+        assert total == pytest.approx(100 * sum(range(1000)))
         snapshot = histogram.snapshot()
-        # The snapshot's quantiles come from the same post-wrap reservoir
-        # window, while count/mean/max keep accounting for every record.
-        assert snapshot["count"] == 100
-        assert snapshot["p50"] >= 92.0
-        assert snapshot["p999"] <= snapshot["max"] == 99.0
-        assert snapshot["mean"] == pytest.approx(sum(range(100)) / 100)
+        assert snapshot["mean"] == pytest.approx(499.5)
+        assert snapshot["max"] == 999.0
+        assert 499.0 <= snapshot["p50"] <= 499.0 * 2 ** 0.25
 
     def test_concurrent_record_from_threads(self):
-        histogram = Histogram(reservoir=64)
+        histogram = Histogram()
 
         def spin(base: float) -> None:
             for i in range(5_000):
@@ -85,13 +94,31 @@ class TestHistogram:
         snapshot = histogram.snapshot()
         assert histogram.count == 20_000
         assert snapshot["count"] == 20_000
+        assert histogram.buckets()[0][-1] == 20_000
         assert 0.0 <= snapshot["p50"] <= snapshot["max"] <= 9.0
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            Histogram(reservoir=0)
-        with pytest.raises(ValueError):
-            Histogram().percentile(1.5)
+    def test_bucket_layout_is_fixed_and_le_inclusive(self):
+        assert len(BUCKET_BOUNDS) == 120
+        assert BUCKET_BOUNDS[0] == 2 ** -9.75 and BUCKET_BOUNDS[-1] == 2.0 ** 20
+        for low, high in zip(BUCKET_BOUNDS, BUCKET_BOUNDS[1:]):
+            assert high / low == pytest.approx(2 ** 0.25)
+        histogram = Histogram()
+        histogram.record(1.0)  # exactly a bound: lands in le="1.0"
+        histogram.record(2.0 ** 21)  # beyond the last bound: lands in +Inf
+        cumulative, _total = histogram.buckets()
+        one = BUCKET_BOUNDS.index(1.0)
+        assert cumulative[one - 1] == 0 and cumulative[one] == 1
+        assert cumulative[-2] == 1 and cumulative[-1] == 2
+        assert histogram.snapshot()["p999"] == 2.0 ** 21  # +Inf bucket reads as max
+
+
+class TestExactQuantile:
+    def test_nearest_rank_of_finished_samples(self):
+        samples = [5.0, 1.0, 4.0, 2.0, 3.0]
+        assert exact_quantile(samples, 0.0) == 1.0
+        assert exact_quantile(samples, 0.5) == 3.0
+        assert exact_quantile(samples, 1.0) == 5.0
+        assert exact_quantile([], 0.99) == 0.0
 
 
 class TestTrafficLedger:
@@ -120,13 +147,18 @@ class TestTrafficLedger:
 class TestRegistry:
     def test_metrics_created_on_first_use_and_snapshot(self):
         registry = MetricsRegistry()
-        registry.counter("requests.ping").inc()
-        registry.counter("requests.ping").inc()
-        registry.histogram("latency").record(2.0)
+        registry.counter_family("repro_requests_total", "requests", ("op",)).labels(
+            op="ping"
+        ).inc()
+        registry.counter_family("repro_requests_total", "requests", ("op",)).labels(
+            op="ping"
+        ).inc()
+        registry.histogram_family("repro_latency_ms", "latency").labels().record(2.0)
         registry.ledger("wire.in").record(64)
         snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"requests.ping": 2}
-        assert snapshot["histograms"]["latency"]["count"] == 1
+        assert set(snapshot) == {"ledgers", "families"}
+        assert snapshot["families"]["repro_requests_total"] == {"op=ping": 2}
+        assert snapshot["families"]["repro_latency_ms"][""]["count"] == 1
         assert snapshot["ledgers"]["wire.in"] == {"messages": 1, "bytes": 64}
 
     def test_service_metrics_names(self):
@@ -141,6 +173,7 @@ class TestRegistry:
         assert snapshot["counters"]["batched_publications"] == 8
         assert snapshot["histograms"]["batch.size"]["max"] == 8.0
         assert snapshot["ledgers"]["wire.in"]["bytes"] == 128
+        assert set(snapshot) == {"counters", "histograms", "ledgers", "families"}
 
 
 class TestMetricFamilies:
@@ -193,9 +226,7 @@ class TestMetricFamilies:
 
     def test_histogram_family_children(self):
         registry = MetricsRegistry()
-        family = registry.histogram_family(
-            "repro_latency_ms", "latency", ("op",), reservoir=16
-        )
+        family = registry.histogram_family("repro_latency_ms", "latency", ("op",))
         for value in (1.0, 2.0, 3.0):
             family.labels(op="publish").record(value)
         snapshot = family.snapshot()["op=publish"]
